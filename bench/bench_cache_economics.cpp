@@ -84,11 +84,11 @@ void MeasuredTable() {
   for (const Config& config : configs) {
     BlockCache cache(config.blocks);
     Rng rng(11);
-    Bytes block(64, std::byte{0});
+    auto block = std::make_shared<const Bytes>(64, std::byte{0});
     for (int i = 0; i < 100000; ++i) {
       uint64_t b = SkewedBlock(&rng, universe);
       if (cache.Lookup({0, b}) == nullptr) {
-        cache.Insert({0, b}, Bytes(block));
+        cache.Insert({0, b}, block);
       }
     }
     double hit = cache.stats().HitRatio();

@@ -1,11 +1,14 @@
 // Micro-benchmarks of the core operations (google-benchmark harness):
-// append (compact vs timestamped vs forced), block codec, entrymap search,
-// time search, and crash recovery. These are the primitive costs behind
-// every table in the paper; run with --benchmark_filter=... to focus.
+// append (compact vs timestamped vs forced), block codec, SHA-256 and
+// CRC32C over one block, entrymap search, time search, and crash recovery.
+// These are the primitive costs behind every table in the paper; run with
+// --benchmark_filter=... to focus.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "src/clio/block_format.h"
+#include "src/util/crc32c.h"
+#include "src/util/sha256.h"
 
 namespace clio {
 namespace bench {
@@ -49,7 +52,7 @@ void BM_BlockParse(benchmark::State& state) {
                                      : HeaderVersion::kCompact,
                      4, FillPayload(&rng, 30), 1000);
   }
-  auto image = std::make_shared<const Bytes>(builder.Finish());
+  auto image = builder.Finish();
   for (auto _ : state) {
     auto parsed = ParsedBlock::Parse(image);
     BENCH_CHECK_OK(parsed.status());
@@ -57,6 +60,30 @@ void BM_BlockParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockParse);
+
+// The two integrity kernels every burn runs (chain record digests, block
+// CRC), on whichever implementation this CPU selects.
+void BM_Sha256(benchmark::State& state) {
+  Rng rng(5);
+  Bytes data = FillPayload(&rng, static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Sha256Of(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256)->Arg(1024);
+
+void BM_Crc32c(benchmark::State& state) {
+  Rng rng(6);
+  Bytes data = FillPayload(&rng, static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(1024);
 
 // The Table-1 primitive: a far-back search through the entrymap tree,
 // fully cached.

@@ -137,8 +137,8 @@ std::shared_ptr<const Bytes> BlockCache::Lookup(const Key& key) {
   return it->second->data;
 }
 
-std::shared_ptr<const Bytes> BlockCache::Insert(const Key& key, Bytes data) {
-  auto shared = std::make_shared<const Bytes>(std::move(data));
+std::shared_ptr<const Bytes> BlockCache::Insert(
+    const Key& key, std::shared_ptr<const Bytes> shared) {
   if (capacity_blocks_ == 0) {
     return shared;  // caching disabled; hand the block straight back
   }

@@ -113,12 +113,15 @@ class BlockCache {
   // on miss.
   std::shared_ptr<const Bytes> Lookup(const Key& key);
 
-  // Inserts a block, evicting the shard's LRU entry if full. Blocks are
+  // Inserts a block, evicting the shard's LRU entry if full. The cache
+  // keeps the caller's image itself, so a writer that already holds its
+  // burned image as a shared pointer caches it without a copy. Blocks are
   // write-once, so if the key is already cached the EXISTING entry is kept
   // and returned (the bytes cannot legitimately differ; see
   // CacheStats::double_inserts). Returns the cached pointer so callers can
   // keep using it without a re-lookup.
-  std::shared_ptr<const Bytes> Insert(const Key& key, Bytes data);
+  std::shared_ptr<const Bytes> Insert(const Key& key,
+                                      std::shared_ptr<const Bytes> data);
 
   // Unconditionally (re)places the block: the REWRITABLE-device variant,
   // used by the conventional file systems (src/vfs) whose blocks change on

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "src/clio/chain.h"
 #include "src/util/bytes.h"
 #include "src/util/crc32c.h"
 
@@ -84,6 +85,7 @@ void BlockBuilder::AddEntry(HeaderVersion v, LogFileId id,
   }
   data_.insert(data_.end(), payload.begin(), payload.end());
   sizes_.push_back(static_cast<uint16_t>(record_size));
+  image_.reset();
   if (v == HeaderVersion::kFragment && sizes_.size() == 1) {
     flags_ |= kFlagFirstEntryIsFragment;
   }
@@ -92,11 +94,19 @@ void BlockBuilder::AddEntry(HeaderVersion v, LogFileId id,
   }
 }
 
-Bytes BlockBuilder::Finish() const {
+void BlockBuilder::SetFlags(uint16_t flag_bits) {
+  flags_ |= flag_bits;
+  image_.reset();
+}
+
+std::shared_ptr<const Bytes> BlockBuilder::Finish() const {
+  if (image_ != nullptr) {
+    return image_;
+  }
   const uint32_t footer = footer_size();
-  Bytes block(block_size_, std::byte{0});
-  std::copy(data_.begin(), data_.end(), block.begin());
-  std::span<std::byte> b(block);
+  auto block = std::make_shared<Bytes>(block_size_, std::byte{0});
+  std::copy(data_.begin(), data_.end(), block->begin());
+  std::span<std::byte> b(*block);
   // Size index: slot for entry i sits at block_size - footer - 2*(i+1),
   // i.e. s_1 nearest the footer (paper Fig. 1 shows s_k ... s_2 s_1).
   for (size_t i = 0; i < sizes_.size(); ++i) {
@@ -109,10 +119,23 @@ Bytes BlockBuilder::Finish() const {
     StoreU64(b, block_size_ - 14, *chain_tag_);
   }
   StoreU16(b, block_size_ - 6, chain_tag_ ? kBlockMagicV2 : kBlockMagic);
-  uint32_t crc = Crc32c(std::span<const std::byte>(block.data(),
-                                                   block_size_ - 4));
-  StoreU32(b, block_size_ - 4, crc);
-  return block;
+  StoreU32(b, block_size_ - 4, Crc32c(b.first(block_size_ - 4)));
+  image_ = std::move(block);
+  return image_;
+}
+
+Sha256Digest BlockBuilder::Commit() {
+  assert(chain_tag_.has_value());
+  std::span<const std::byte> data(data_);
+  for (size_t i = record_hashes_.size(); i < sizes_.size(); ++i) {
+    record_hashes_.push_back(
+        ChainRecordHash(data.subspan(hashed_bytes_, sizes_[i])));
+    hashed_bytes_ += sizes_[i];
+  }
+  return ChainBlockCommitFromParts(static_cast<uint16_t>(sizes_.size()),
+                                   flags_,
+                                   static_cast<uint16_t>(data_.size()),
+                                   record_hashes_);
 }
 
 Result<ParsedEntry> ParseEntryRecord(std::span<const std::byte> record) {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/clio/types.h"
+#include "src/util/sha256.h"
 #include "src/util/status.h"
 
 namespace clio {
@@ -57,6 +58,11 @@ constexpr uint32_t kMinBlockSize = 64;
 // Incrementally packs one block. The builder is deliberately snapshotable:
 // Finish() is const, so the writer can burn a *prefix* image of a partial
 // block to NVRAM on a forced write and keep appending afterwards (§2.3.1).
+//
+// A chained builder also yields the block's chain commit (Commit()) from
+// the records it holds, so the writer never re-parses its own image to
+// advance the chain: each record is digested once, however many times the
+// builder is snapshotted.
 class BlockBuilder {
  public:
   // When `chain_tag` is present the block gets a v2 footer carrying it;
@@ -96,11 +102,21 @@ class BlockBuilder {
                 std::optional<uint32_t> seq = std::nullopt,
                 std::span<const LogFileId> extras = {});
 
-  void SetFlags(uint16_t flag_bits) { flags_ |= flag_bits; }
+  void SetFlags(uint16_t flag_bits);
 
-  // Serializes the current contents into a full block image (padded,
-  // trailer index, footer, CRC).
-  Bytes Finish() const;
+  // The current contents as a full block image (padded, trailer index,
+  // footer, CRC). The image is built once per change to the builder and
+  // shared: repeated calls with no AddEntry/SetFlags in between return the
+  // same pointer, which the writer hands to the device, the block cache
+  // and readers of the staged tail alike. Not safe for concurrent callers.
+  std::shared_ptr<const Bytes> Finish() const;
+
+  // Chain commit of the current contents (src/clio/chain.h), equal to
+  // ChainBlockCommit(ParsedBlock::Parse(Finish())). Digests only the
+  // records added since the last call and keeps every digest, so each
+  // record is hashed once however often this is asked. Chained builders
+  // only.
+  Sha256Digest Commit();
 
  private:
   uint32_t FreeBytes() const;
@@ -111,6 +127,10 @@ class BlockBuilder {
   std::vector<uint16_t> sizes_;  // record sizes in append order
   uint16_t flags_ = 0;
   std::optional<Timestamp> first_timestamp_;
+  // Digests of the first record_hashes_.size() records, in order.
+  std::vector<Sha256Digest> record_hashes_;
+  uint32_t hashed_bytes_ = 0;  // data_ prefix covered by record_hashes_
+  mutable std::shared_ptr<const Bytes> image_;  // Finish() memo
 };
 
 // One decoded entry record.

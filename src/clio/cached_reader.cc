@@ -24,12 +24,12 @@ Result<std::shared_ptr<const Bytes>> CachedBlockReader::Fetch(
   if (stats != nullptr) {
     ++stats->device_reads;
   }
-  Bytes image(device_->block_size());
-  CLIO_RETURN_IF_ERROR(device_->ReadBlock(block, image));
+  auto image = std::make_shared<Bytes>(device_->block_size());
+  CLIO_RETURN_IF_ERROR(device_->ReadBlock(block, *image));
   if (cache_ != nullptr) {
     return cache_->Insert({cache_device_id_, block}, std::move(image));
   }
-  return std::make_shared<const Bytes>(std::move(image));
+  return std::shared_ptr<const Bytes>(std::move(image));
 }
 
 Result<std::shared_ptr<const Bytes>> CachedBlockReader::FetchSequential(
@@ -66,10 +66,10 @@ Result<std::shared_ptr<const Bytes>> CachedBlockReader::FetchSequential(
   }
   std::shared_ptr<const Bytes> demanded;
   for (uint64_t i = 0; i < got.value(); ++i) {
-    Bytes image(run.begin() + i * block_bytes,
-                run.begin() + (i + 1) * block_bytes);
-    auto cached = cache_->Insert({cache_device_id_, block + i},
-                                 std::move(image));
+    auto cached = cache_->Insert(
+        {cache_device_id_, block + i},
+        std::make_shared<const Bytes>(run.begin() + i * block_bytes,
+                                      run.begin() + (i + 1) * block_bytes));
     if (i == 0) {
       demanded = std::move(cached);
     } else {
@@ -90,7 +90,8 @@ std::shared_ptr<void> CachedBlockReader::Pin(uint64_t block) {
   return std::make_shared<BlockCache::PinLease>(std::move(lease));
 }
 
-void CachedBlockReader::Put(uint64_t block, Bytes image) {
+void CachedBlockReader::Put(uint64_t block,
+                            std::shared_ptr<const Bytes> image) {
   if (cache_ != nullptr) {
     cache_->Insert({cache_device_id_, block}, std::move(image));
   }

@@ -53,7 +53,8 @@ class CachedBlockReader {
 
   // Inserts a freshly burned block image (write path keeps the cache warm,
   // mirroring the paper's observation that recent data is read from cache).
-  void Put(uint64_t block, Bytes image);
+  // The cache shares the writer's image; nothing is copied.
+  void Put(uint64_t block, std::shared_ptr<const Bytes> image);
 
   // Drops a block (after invalidation re-burns it to 1s).
   void Evict(uint64_t block);

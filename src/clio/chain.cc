@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/obs/metrics.h"
+
 namespace clio {
 namespace {
 
@@ -28,6 +30,8 @@ uint64_t ChainSeed(std::span<const std::byte> header_block) {
 }
 
 Sha256Digest ChainRecordHash(std::span<const std::byte> record) {
+  static Counter* hashed = ObsRegistry().counter("clio.chain.bytes_hashed");
+  hashed->Increment(record.size());
   return Sha256Of(record);
 }
 

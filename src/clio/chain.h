@@ -48,7 +48,9 @@ constexpr uint32_t kMaxProofLinks = 65536;
 // Chain seed for a volume: trunc8 of the header block image's digest.
 uint64_t ChainSeed(std::span<const std::byte> header_block);
 
-// Digest of one packed entry record (header + payload bytes).
+// Digest of one packed entry record (header + payload bytes). Every
+// record digest on every path (burn, recovery, scrub, verify, proofs)
+// goes through here and counts its bytes into clio.chain.bytes_hashed.
 Sha256Digest ChainRecordHash(std::span<const std::byte> record);
 
 // Block commit from its already-computed parts (proof verification path).
@@ -56,7 +58,8 @@ Sha256Digest ChainBlockCommitFromParts(
     uint16_t count, uint16_t flags, uint16_t used,
     std::span<const Sha256Digest> record_hashes);
 
-// Block commit of a parsed block (writer / scrubber / verifier path).
+// Block commit of a parsed block (recovery / scrubber / verifier path;
+// the writer takes the same value from BlockBuilder::Commit()).
 Sha256Digest ChainBlockCommit(const ParsedBlock& block);
 
 // tag' = trunc8(SHA256(LE64(tag) || commit)).

@@ -668,7 +668,7 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
       ++stats->blocks_read;
       ++stats->cache_hits;  // staged tail lives in server memory
     }
-    return ParsedBlock::Parse(writer_->StagedImage());
+    return writer_->StagedBlock();
   }
   if (block >= end_block()) {
     return NotWritten("block " + std::to_string(block) +

@@ -215,13 +215,14 @@ Status LogVolumeWriter::BurnBuilder() {
   if (builder_ == nullptr) {
     return Status::Ok();
   }
-  Bytes image = builder_->Finish();
+  // The one image of this block: burned from, then cached as is.
+  std::shared_ptr<const Bytes> image = builder_->Finish();
   // One span per burn attempt: a retried burn shows up as several kBurn
   // spans in the trace, which is exactly the story a fault injection run
   // should tell.
   for (int attempt = 0; attempt < kMaxBurnAttempts; ++attempt) {
     TraceSpanTimer span(TraceStage::kBurn);
-    auto result = blocks_->device()->AppendBlock(image);
+    auto result = blocks_->device()->AppendBlock(*image);
     if (result.ok()) {
       uint64_t actual = result.value();
       // If the burn landed past where the write head should have been,
@@ -266,11 +267,7 @@ Status LogVolumeWriter::BurnBuilder() {
         // Only a successfully burned, valid block advances the chain —
         // garbage and invalidated blocks are skipped by readers, so they
         // are skipped by the chain too (see src/clio/chain.h).
-        auto parsed = ParsedBlock::Parse(std::make_shared<const Bytes>(image));
-        if (parsed.ok()) {
-          chain_tag_ =
-              AdvanceChainTag(*chain_tag_, ChainBlockCommit(parsed.value()));
-        }
+        chain_tag_ = AdvanceChainTag(*chain_tag_, builder_->Commit());
       }
       blocks_->Put(actual, std::move(image));
       staging_block_ = actual + 1;
@@ -486,7 +483,7 @@ Status LogVolumeWriter::Force() {
   TraceSpanTimer span(TraceStage::kForce);
   if (nvram_ != nullptr) {
     // Rewritable tail: restage the current partial image; nothing burns.
-    return nvram_->Store(staging_block_, builder_->Finish());
+    return nvram_->Store(staging_block_, *builder_->Finish());
   }
   ++space_.forced_partial_burns;
   return BurnBuilder();
@@ -513,11 +510,17 @@ bool LogVolumeWriter::AlmostFull(size_t payload_size) const {
   return staging_block_ + needed_blocks >= capacity;
 }
 
-std::shared_ptr<const Bytes> LogVolumeWriter::StagedImage() const {
+Result<ParsedBlock> LogVolumeWriter::StagedBlock() const {
   if (builder_ == nullptr || builder_->empty()) {
-    return nullptr;
+    return NotWritten("no staged entries");
   }
-  return std::make_shared<const Bytes>(builder_->Finish());
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  std::shared_ptr<const Bytes> image = builder_->Finish();
+  if (!staged_.has_value() || staged_->shared_image() != image) {
+    CLIO_ASSIGN_OR_RETURN(ParsedBlock parsed, ParsedBlock::Parse(image));
+    staged_ = std::move(parsed);
+  }
+  return *staged_;
 }
 
 }  // namespace clio

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <span>
@@ -112,8 +113,11 @@ class LogVolumeWriter {
   bool has_staged_entries() const {
     return builder_ != nullptr && !builder_->empty();
   }
-  // Current image of the staged (partial) tail block, for live readers.
-  std::shared_ptr<const Bytes> StagedImage() const;
+  // The staged (partial) tail block, for live readers. The tail is built
+  // and parsed once per change to the staging builder: reads in between
+  // share one parse of one image. Safe for concurrent readers; the
+  // writer's own mutations must exclude them (LogService::mutex()).
+  Result<ParsedBlock> StagedBlock() const;
 
   const EntrymapAccumulator& accumulator() const { return accumulator_; }
   const SpaceAccounting& space() const { return space_; }
@@ -170,6 +174,10 @@ class LogVolumeWriter {
   NvramTail* nvram_;
 
   std::unique_ptr<BlockBuilder> builder_;
+  // StagedBlock()'s parse of builder_'s current image; stale once the
+  // builder's image moves on (compared by pointer, which staged_ pins).
+  mutable std::mutex staged_mu_;
+  mutable std::optional<ParsedBlock> staged_;
   uint64_t staging_block_ = 1;
   std::optional<uint64_t> chain_tag_;
   std::set<LogFileId> pending_mark_ids_;

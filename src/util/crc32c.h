@@ -1,6 +1,8 @@
 // CRC32C (Castagnoli). Used to checksum block trailers and volume headers
 // so corruption on the (simulated) log device is detected rather than
 // silently parsed (paper §2.3.2: a failure may write garbage to the volume).
+// Runs on the SSE4.2 crc32 instruction when the CPU has it, on a byte-wise
+// table otherwise (src/util/hash_kernels.h); both give identical values.
 #ifndef SRC_UTIL_CRC32C_H_
 #define SRC_UTIL_CRC32C_H_
 

@@ -2,7 +2,9 @@
 // per-record digests, per-block commits, and the accumulated chain tag
 // each burned block carries for its predecessors. Self-contained — no
 // OpenSSL or platform crypto dependency — because the build must work in
-// the bare toolchain image.
+// the bare toolchain image. The compression function runs on the CPU's
+// SHA extensions when present and on portable scalar code otherwise
+// (src/util/hash_kernels.h); both give identical digests.
 #ifndef SRC_UTIL_SHA256_H_
 #define SRC_UTIL_SHA256_H_
 
@@ -25,7 +27,8 @@ class Sha256 {
   Sha256Digest Finish();
 
  private:
-  void Compress(const std::byte* chunk);
+  // Folds `blocks` whole 64-byte chunks into state_.
+  void Compress(const std::byte* data, size_t blocks);
 
   std::array<uint32_t, 8> state_;
   std::array<std::byte, 64> buffer_;

@@ -256,7 +256,8 @@ Result<Bytes> UnixFs::ReadBlockCached(uint32_t block, VfsOpStats* stats) const {
   Bytes image(block_size_);
   CLIO_RETURN_IF_ERROR(device_->ReadBlock(block, image));
   if (cache_ != nullptr) {
-    cache_->Insert({cache_device_id_, block}, Bytes(image));
+    cache_->Insert({cache_device_id_, block},
+                   std::make_shared<const Bytes>(image));
   }
   return image;
 }

@@ -14,8 +14,8 @@ std::shared_ptr<const Bytes> Shared(Bytes b) {
 
 TEST(BlockBuilder, EmptyBlockRoundTrips) {
   BlockBuilder builder(512);
-  ASSERT_OK_AND_ASSIGN(ParsedBlock parsed, ParsedBlock::Parse(
-      Shared(builder.Finish())));
+  ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
+                       ParsedBlock::Parse(builder.Finish()));
   EXPECT_TRUE(parsed.entries().empty());
   EXPECT_EQ(parsed.flags(), 0);
 }
@@ -25,7 +25,7 @@ TEST(BlockBuilder, SingleCompactEntryRoundTrips) {
   Bytes payload = ToBytes("hello log");
   builder.AddEntry(HeaderVersion::kCompact, 42, payload);
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   ASSERT_EQ(parsed.entries().size(), 1u);
   const ParsedEntry& e = parsed.entries()[0];
   EXPECT_EQ(e.logfile_id, 42);
@@ -38,7 +38,7 @@ TEST(BlockBuilder, TimestampedEntryCarriesTimestamp) {
   BlockBuilder builder(512);
   builder.AddEntry(HeaderVersion::kTimestamped, 7, ToBytes("x"), 123456789);
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   ASSERT_EQ(parsed.entries().size(), 1u);
   EXPECT_EQ(parsed.entries()[0].timestamp, 123456789);
   EXPECT_EQ(parsed.FirstTimestamp(), 123456789);
@@ -48,7 +48,7 @@ TEST(BlockBuilder, CompleteHeaderCarriesClientSequence) {
   BlockBuilder builder(512);
   builder.AddEntry(HeaderVersion::kComplete, 9, ToBytes("abc"), 55, 0xDEAD);
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   ASSERT_EQ(parsed.entries().size(), 1u);
   EXPECT_EQ(parsed.entries()[0].client_sequence, 0xDEADu);
   EXPECT_EQ(parsed.entries()[0].timestamp, 55);
@@ -58,7 +58,7 @@ TEST(BlockBuilder, FragmentHeaderCarriesBaseTimestamp) {
   BlockBuilder builder(512);
   builder.AddEntry(HeaderVersion::kFragment, 3, ToBytes("tail"), 99);
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   ASSERT_EQ(parsed.entries().size(), 1u);
   EXPECT_TRUE(parsed.entries()[0].is_fragment());
   EXPECT_EQ(parsed.entries()[0].timestamp, 99);
@@ -84,7 +84,7 @@ TEST(BlockBuilder, ManyEntriesPreserveOrderAndPayloads) {
   }
   ASSERT_GT(count, 10);
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   ASSERT_EQ(parsed.entries().size(), payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
     EXPECT_EQ(ToString(parsed.entries()[i].payload),
@@ -109,14 +109,14 @@ TEST(BlockBuilder, FillsToExactCapacity) {
   builder.AddEntry(HeaderVersion::kTimestamped, 4, payload, 1);
   EXPECT_EQ(builder.free_bytes(), 0u);
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   EXPECT_EQ(parsed.entries()[0].payload.size(), cap);
 }
 
 TEST(ParsedBlock, RejectsCorruptBlock) {
   BlockBuilder builder(512);
   builder.AddEntry(HeaderVersion::kTimestamped, 4, ToBytes("data"), 1);
-  Bytes image = builder.Finish();
+  Bytes image = *builder.Finish();
   image[5] ^= std::byte{0xFF};
   auto parsed = ParsedBlock::Parse(Shared(std::move(image)));
   EXPECT_EQ(parsed.status().code(), StatusCode::kCorrupt);
@@ -143,7 +143,7 @@ TEST(ParsedBlock, FlagsRoundTrip) {
   builder.AddEntry(HeaderVersion::kTimestamped, 4, ToBytes("x"), 1);
   builder.SetFlags(kFlagLastEntryContinues | kFlagVolumeSealed);
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   EXPECT_TRUE(parsed.last_entry_continues());
   EXPECT_TRUE(parsed.volume_sealed());
   EXPECT_FALSE(parsed.entrymap_continues());
@@ -158,7 +158,7 @@ TEST(ParsedBlock, OffsetsMatchSizeIndex) {
   builder.AddEntry(HeaderVersion::kCompact, 5, ToBytes("bb"));
   builder.AddEntry(HeaderVersion::kCompact, 6, ToBytes("cccccc"));
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
-                       ParsedBlock::Parse(Shared(builder.Finish())));
+                       ParsedBlock::Parse(builder.Finish()));
   ASSERT_EQ(parsed.entries().size(), 3u);
   EXPECT_EQ(parsed.entries()[0].offset, 0u);
   EXPECT_EQ(parsed.entries()[0].record_size, 14u);  // 10 hdr + 4

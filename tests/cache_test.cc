@@ -13,7 +13,9 @@
 namespace clio {
 namespace {
 
-Bytes Payload(uint8_t tag) { return Bytes(16, std::byte{tag}); }
+std::shared_ptr<const Bytes> Payload(uint8_t tag) {
+  return std::make_shared<const Bytes>(16, std::byte{tag});
+}
 
 TEST(Cache, HitAfterInsert) {
   BlockCache cache(4);
@@ -22,6 +24,15 @@ TEST(Cache, HitAfterInsert) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ((*hit)[0], std::byte{1});
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(Cache, InsertKeepsTheCallersImage) {
+  // The write path hands its burned image to the cache; the cache must
+  // keep that very allocation rather than a copy of it.
+  BlockCache cache(4);
+  auto image = Payload(3);
+  EXPECT_EQ(cache.Insert({1, 10}, image), image);
+  EXPECT_EQ(cache.Lookup({1, 10}), image);
 }
 
 TEST(Cache, MissOnAbsentKey) {
@@ -118,9 +129,9 @@ TEST(Cache, ConcurrentReadersShareTheCache) {
         for (uint64_t block = 0; block < kBlocks; ++block) {
           auto hit = cache.Lookup({1, block});
           if (hit == nullptr) {
-            hit = cache.Insert(
-                {1, block},
-                Bytes(16, std::byte{static_cast<uint8_t>(block)}));
+            hit = cache.Insert({1, block},
+                               std::make_shared<const Bytes>(
+                                   16, std::byte{static_cast<uint8_t>(block)}));
           }
           ASSERT_EQ((*hit)[0], std::byte{static_cast<uint8_t>(block)});
         }
@@ -139,9 +150,9 @@ TEST(Cache, ManyDevicesDoNotCollide) {
   BlockCache cache(1024);
   for (uint64_t device = 0; device < 8; ++device) {
     for (uint64_t block = 0; block < 32; ++block) {
+      const auto tag = static_cast<uint8_t>(device * 32 + block);
       cache.Insert({device, block},
-                   Bytes(8, std::byte{static_cast<uint8_t>(device * 32 +
-                                                           block)}));
+                   std::make_shared<const Bytes>(8, std::byte{tag}));
     }
   }
   for (uint64_t device = 0; device < 8; ++device) {

@@ -1,13 +1,17 @@
 // Hash-chain tests (DESIGN.md §15): v2 footers carry chain tags, the
 // recovered head survives crashes, consistent forgeries (recomputed CRC)
 // are caught by the chain walk, and single-entry inclusion proofs verify
-// end to end — and reject every kind of tampering.
+// end to end — and reject every kind of tampering. Also the hash-once
+// write path: the builder's own commit equals the parsed block's, every
+// record is digested exactly once, and the burned bytes match a golden
+// volume.
 #include "src/clio/chain.h"
 
 #include <gtest/gtest.h>
 
 #include "src/clio/log_service.h"
 #include "src/clio/verify.h"
+#include "src/obs/metrics.h"
 #include "src/util/crc32c.h"
 #include "tests/test_util.h"
 
@@ -308,8 +312,7 @@ TEST(Chain, V1FootersStillParseUnchained) {
   BlockBuilder v1(512);
   v1.AddEntry(HeaderVersion::kTimestamped, 7,
               Bytes(20, std::byte{0x5A}), /*ts=*/42);
-  auto v1_parsed = ParsedBlock::Parse(
-      std::make_shared<const Bytes>(v1.Finish()));
+  auto v1_parsed = ParsedBlock::Parse(v1.Finish());
   ASSERT_OK(v1_parsed.status());
   EXPECT_FALSE(v1_parsed->chain_tag().has_value());
   ASSERT_EQ(v1_parsed->entries().size(), 1u);
@@ -317,11 +320,111 @@ TEST(Chain, V1FootersStillParseUnchained) {
   BlockBuilder v2(512, /*chain_tag=*/0xDEADBEEFCAFEF00Dull);
   v2.AddEntry(HeaderVersion::kTimestamped, 7,
               Bytes(20, std::byte{0x5A}), /*ts=*/42);
-  auto v2_parsed = ParsedBlock::Parse(
-      std::make_shared<const Bytes>(v2.Finish()));
+  auto v2_parsed = ParsedBlock::Parse(v2.Finish());
   ASSERT_OK(v2_parsed.status());
   ASSERT_TRUE(v2_parsed->chain_tag().has_value());
   EXPECT_EQ(*v2_parsed->chain_tag(), 0xDEADBEEFCAFEF00Dull);
+}
+
+uint64_t BytesHashed() {
+  return ObsRegistry().counter("clio.chain.bytes_hashed")->value();
+}
+
+TEST(Chain, BuilderCommitEqualsParsedCommitAndHashesEachRecordOnce) {
+  BlockBuilder builder(1024, /*chain_tag=*/0x1234);
+  Rng rng(5);
+  uint64_t builder_hashed = 0;
+  uint64_t record_bytes = 0;
+  const std::vector<LogFileId> extras = {9, 10};
+  for (int i = 0; i < 12; ++i) {
+    const HeaderVersion versions[] = {
+        HeaderVersion::kTimestamped, HeaderVersion::kCompact,
+        HeaderVersion::kComplete, HeaderVersion::kMulti};
+    const HeaderVersion v = i == 0 ? HeaderVersion::kFragment
+                                   : versions[rng.Below(4)];
+    const std::span<const LogFileId> ids =
+        v == HeaderVersion::kMulti ? std::span<const LogFileId>(extras)
+                                   : std::span<const LogFileId>();
+    const uint32_t cap = builder.PayloadCapacity(
+        v, static_cast<uint32_t>(ids.size()));
+    if (cap == 0) {
+      break;
+    }
+    Bytes payload = RandomPayload(&rng, std::min<uint32_t>(cap, 40));
+    builder.AddEntry(v, 5, payload, /*ts=*/100 + i, /*seq=*/i, ids);
+    record_bytes += HeaderInlineSize(v, static_cast<uint32_t>(ids.size())) +
+                    payload.size();
+    if (i == 6) {
+      builder.SetFlags(kFlagLastEntryContinues);
+    }
+    // Snapshot after every entry, as forced NVRAM restaging does: the
+    // commit must track the parse of each snapshot, and asking again with
+    // no change in between must hash nothing new.
+    const uint64_t before = BytesHashed();
+    const Sha256Digest commit = builder.Commit();
+    EXPECT_EQ(builder.Commit(), commit);
+    builder_hashed += BytesHashed() - before;
+    EXPECT_EQ(builder_hashed, record_bytes)
+        << "each record is digested exactly once across snapshots";
+    ASSERT_OK_AND_ASSIGN(ParsedBlock parsed,
+                         ParsedBlock::Parse(builder.Finish()));
+    EXPECT_EQ(commit, ChainBlockCommit(parsed)) << "after entry " << i;
+    EXPECT_EQ(builder.Finish(), parsed.shared_image());
+  }
+}
+
+// A fixed, seeded volume mixing every header kind, sublogs, multi-
+// membership, fragments and forced partial burns.
+testing::ServiceFixture BuildGoldenVolume() {
+  auto fx = ServiceFixture::Make(/*block_size=*/512,
+                                 /*capacity_blocks=*/4096, /*degree=*/8);
+  const std::vector<std::string> paths = {"/a", "/a/sub", "/b"};
+  for (const std::string& path : paths) {
+    EXPECT_TRUE(fx.service->CreateLogFile(path).ok());
+  }
+  const LogFileId b_id = fx.service->Resolve("/b").value();
+  Rng rng(2024);
+  for (int i = 0; i < 120; ++i) {
+    const std::string& path = paths[rng.Below(paths.size())];
+    WriteOptions opts;
+    opts.timestamped = rng.Chance(1, 3);
+    opts.force = rng.Chance(1, 5);
+    if (rng.Chance(1, 6)) {
+      opts.client_sequence = static_cast<uint32_t>(i);
+    } else if (path != "/b" && rng.Chance(1, 6)) {
+      opts.extra_memberships = {b_id};
+    }
+    auto appended =
+        fx.service->Append(path, RandomPayload(&rng, rng.Below(1200)), opts);
+    EXPECT_TRUE(appended.ok()) << appended.status().ToString();
+  }
+  EXPECT_TRUE(fx.service->Force().ok());
+  return fx;
+}
+
+TEST(Chain, GoldenVolumeBurnsTheSameBytes) {
+  // Pinned from the implementation that re-parsed every burned block on
+  // scalar SHA-256/CRC32C code: the hash-once write path and the hardware
+  // kernels must burn byte-identical media. The head tag covers every
+  // record, count, flag and used-byte field; the CRC fingerprint covers
+  // every byte of every block, padding and footers included.
+  auto fx = BuildGoldenVolume();
+  LogVolume* volume = fx.service->current_volume();
+  Bytes crcs;
+  ByteWriter w(&crcs);
+  for (uint64_t b = 1; b < volume->end_block(); ++b) {
+    OpStats op;
+    ASSERT_OK_AND_ASSIGN(ParsedBlock parsed, volume->GetBlock(b, &op));
+    w.PutU32(LoadU32(parsed.image(), parsed.image().size() - 4));
+  }
+  EXPECT_EQ(volume->end_block(), 156u);
+  EXPECT_EQ(volume->chain_seed(), 0xcb6129ffd832056cull);
+  EXPECT_EQ(volume->chain_head_tag(),
+            std::optional<uint64_t>(0x9445cbba771bb503ull));
+  EXPECT_EQ(Crc32c(crcs), 0x0368a890u);
+  // Every header kind, sublog and multi-membership record above also
+  // passes the builder-vs-parse commit check.
+  testing::ExpectWriterCommitsMatchMedia(volume);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 // stack exists to uphold:
 //  - VerifyVolume is clean: framing, entrymap, fragment chains, and the
 //    timestamp total order all survived;
+//  - every burned block's chain link re-derives from its parse, so the
+//    writer's builder-side commit matched the parsed one on each burn;
 //  - every append acknowledged to a client so far is present EXACTLY once
 //    (no duplicates from retries, no losses of acked-durable entries);
 //  - no payload appears twice at all (retry + dedup never double-log);
@@ -219,6 +221,7 @@ class ChaosTest : public ::testing::Test {
         << (verify.chain_mismatches.empty()
                 ? ""
                 : " first=" + verify.chain_mismatches.front());
+    testing::ExpectWriterCommitsMatchMedia((*service)->current_volume());
 
     // Full scan: count payload multiplicity, check the timestamp total
     // order and each writer's per-client append order.
@@ -670,6 +673,8 @@ class PartitionedChaosTest : public ::testing::Test {
           << (verify.chain_mismatches.empty()
                   ? ""
                   : " first=" + verify.chain_mismatches.front());
+      testing::ExpectWriterCommitsMatchMedia(
+          (*service)->partition(p)->current_volume());
       EXPECT_EQ((*service)->RouteOf(PartitionLog(p)),
                 std::optional<uint32_t>(p));
 
@@ -896,6 +901,7 @@ TEST(CheckpointChaosTest, KillsAroundCheckpointsConvergeByteForByte) {
         << (verify.index_mismatches.empty()
                 ? "non-index defect"
                 : verify.index_mismatches.front());
+    testing::ExpectWriterCommitsMatchMedia(volume);
 
     // Survivors: per path, an append-order prefix reaching the floor.
     for (const std::string& path : paths) {

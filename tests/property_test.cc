@@ -10,7 +10,10 @@
 //  P5  crash recovery reconstructs a state equivalent to the pre-crash
 //      forced state (appends, catalog, search all agree);
 //  P6  the 3.5 space bound holds: entrymap overhead per entry stays below
-//      the analytic bound.
+//      the analytic bound;
+//  P7  hash once: the writer's builder-side chain commit equals the
+//      parsed block's on every burned block, and the write path digests
+//      each record's bytes exactly once.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "src/clio/log_service.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -238,6 +242,30 @@ TEST_P(WorkloadTest, SpaceOverheadRespectsBound) {
     }
   }
   EXPECT_EQ(space.client_payload_bytes, client_bytes);
+}
+
+TEST_P(WorkloadTest, WritePathHashesEachRecordOnce) {
+  Params p = GetParam();
+  Rng rng(p.seed ^ 0x4A54);
+  Counter* hashed = ObsRegistry().counter("clio.chain.bytes_hashed");
+  const uint64_t hashed_before = hashed->value();
+  Rig rig = MakeRig(p);
+  RunWorkload(&rig, p, 300, &rng, /*timestamped=*/false);
+  ASSERT_OK(rig.service->Force());
+  const uint64_t write_path_hashed = hashed->value() - hashed_before;
+  // Everything is burned now; the records the write path digested are
+  // exactly the used bytes of the burned blocks (catalog and entrymap
+  // records included), each counted once.
+  LogVolume* volume = rig.service->current_volume();
+  ASSERT_EQ(volume->end_including_staged(), volume->end_block());
+  uint64_t record_bytes = 0;
+  for (uint64_t b = 1; b < volume->end_block(); ++b) {
+    OpStats op;
+    ASSERT_OK_AND_ASSIGN(ParsedBlock parsed, volume->GetBlock(b, &op));
+    record_bytes += parsed.used_bytes();
+  }
+  EXPECT_EQ(write_path_hashed, record_bytes);
+  testing::ExpectWriterCommitsMatchMedia(volume);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "src/clio/chain.h"
 #include "src/clio/log_service.h"
 #include "src/device/memory_worm_device.h"
 #include "src/util/rng.h"
@@ -135,6 +136,42 @@ struct ServiceFixture {
     return fx;
   }
 };
+
+// Hash-once proof over a whole volume. The writer advances the chain with
+// BlockBuilder::Commit() and never parses its own image, so re-deriving
+// every stored chain tag from the PARSED predecessor (ChainBlockCommit of
+// ParsedBlock::Parse of the burned image), and the head tag from the last
+// block, shows the builder's commit equalled the parsed commit on every
+// burned block. A builder re-created from each parsed block must also
+// reproduce its image and commit. Unparseable blocks (garbage, torn or
+// invalidated burns) are skipped, exactly as the chain skips them.
+inline void ExpectWriterCommitsMatchMedia(LogVolume* volume) {
+  if (!volume->header().chained()) {
+    return;
+  }
+  uint64_t acc = volume->chain_seed();
+  for (uint64_t b = 1; b < volume->end_block(); ++b) {
+    OpStats op;
+    auto parsed = volume->GetBlock(b, &op);
+    if (!parsed.ok()) {
+      continue;
+    }
+    ASSERT_TRUE(parsed->chain_tag().has_value()) << "block " << b;
+    EXPECT_EQ(*parsed->chain_tag(), acc) << "block " << b;
+    const Sha256Digest commit = ChainBlockCommit(*parsed);
+    BlockBuilder rebuilt(volume->header().block_size, parsed->chain_tag());
+    rebuilt.SetFlags(parsed->flags());
+    for (const ParsedEntry& e : parsed->entries()) {
+      rebuilt.AddEntry(e.version, e.logfile_id, e.payload,
+                       e.timestamp.value_or(0), e.client_sequence,
+                       e.extra_ids);
+    }
+    EXPECT_EQ(rebuilt.Commit(), commit) << "block " << b;
+    EXPECT_EQ(*rebuilt.Finish(), parsed->image()) << "block " << b;
+    acc = AdvanceChainTag(acc, commit);
+  }
+  EXPECT_EQ(volume->chain_head_tag(), std::optional<uint64_t>(acc));
+}
 
 }  // namespace testing
 }  // namespace clio

@@ -1,11 +1,16 @@
-// Utility-layer tests: Status/Result, byte codecs, clocks, RNG determinism.
+// Utility-layer tests: Status/Result, byte codecs, clocks, RNG determinism,
+// and the SHA-256 / CRC32C kernels (published vectors, hardware vs scalar).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/crc32c.h"
+#include "src/util/hash_kernels.h"
 #include "src/util/rng.h"
+#include "src/util/sha256.h"
 #include "src/util/status.h"
 #include "src/util/time.h"
 #include "tests/test_util.h"
@@ -179,6 +184,181 @@ TEST(Rng, RangeAndChanceBehave) {
   }
   EXPECT_GT(heads, 4500);
   EXPECT_LT(heads, 5500);
+}
+
+using CompressKernel = void (*)(uint32_t*, const std::byte*, size_t);
+
+// Whole-message SHA-256 over one compression kernel, padding written out
+// here independently of Sha256::Finish.
+Sha256Digest DigestWith(CompressKernel kernel,
+                        std::span<const std::byte> data) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const size_t whole = data.size() / 64;
+  kernel(state, data.data(), whole);
+  Bytes tail(data.begin() + static_cast<ptrdiff_t>(whole * 64), data.end());
+  tail.push_back(std::byte{0x80});
+  while (tail.size() % 64 != 56) {
+    tail.push_back(std::byte{0});
+  }
+  const uint64_t bits = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    tail.push_back(static_cast<std::byte>((bits >> (8 * i)) & 0xFF));
+  }
+  kernel(state, tail.data(), tail.size() / 64);
+  Sha256Digest out;
+  for (int i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::byte>((state[i / 4] >> (24 - 8 * (i % 4))) &
+                                    0xFF);
+  }
+  return out;
+}
+
+std::string Hex(const Sha256Digest& d) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte b : d) {
+    out += kDigits[static_cast<uint8_t>(b) >> 4];
+    out += kDigits[static_cast<uint8_t>(b) & 0xF];
+  }
+  return out;
+}
+
+// Feeds `data` to a fresh hasher in random-sized pieces.
+Sha256Digest DigestInPieces(Rng* rng, std::span<const std::byte> data) {
+  Sha256 h;
+  while (!data.empty()) {
+    size_t n = std::min<size_t>(data.size(), rng->Below(200));
+    h.Update(data.first(n));
+    data = data.subspan(n);
+  }
+  return h.Finish();
+}
+
+uint32_t CrcInPieces(Rng* rng, std::span<const std::byte> data) {
+  uint32_t crc = 0;
+  while (!data.empty()) {
+    size_t n = std::min<size_t>(data.size(), rng->Below(200));
+    crc = Crc32cExtend(crc, data.first(n));
+    data = data.subspan(n);
+  }
+  return crc;
+}
+
+// FIPS 180-4 example messages (NIST CSRC "SHA256.pdf" / "SHA2_Additional").
+struct ShaVector {
+  std::string message;
+  const char* digest;
+};
+
+std::vector<ShaVector> FipsVectors() {
+  return {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+TEST(Sha256, FipsKnownAnswers) {
+  for (const ShaVector& v : FipsVectors()) {
+    SCOPED_TRACE(v.message.size());
+    EXPECT_EQ(Hex(Sha256Of(AsBytes(v.message))), v.digest);
+    EXPECT_EQ(Hex(DigestWith(hash_internal::Sha256CompressScalar,
+                             AsBytes(v.message))),
+              v.digest);
+    Rng rng(v.message.size());
+    EXPECT_EQ(Hex(DigestInPieces(&rng, AsBytes(v.message))), v.digest);
+  }
+}
+
+TEST(Sha256, FinishResetsForReuse) {
+  Sha256 h;
+  h.Update(AsBytes("garbage"));
+  h.Finish();
+  h.Update(AsBytes("abc"));
+  EXPECT_EQ(Hex(h.Finish()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// Random inputs for the differential tests: every length 0-70 000 is
+// reachable, and each input starts at a random offset 0-63 into its
+// buffer so the kernels see every alignment. Boundary lengths around the
+// 64-byte chunk and the 56-byte padding threshold are always included.
+struct DiffInput {
+  Bytes buffer;
+  size_t offset;
+  std::span<const std::byte> data() const {
+    return std::span<const std::byte>(buffer).subspan(offset);
+  }
+};
+
+std::vector<DiffInput> DiffInputs(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<size_t> lengths = {0, 1, 7, 8, 9, 55, 56, 57, 63, 64, 65,
+                                 119, 120, 127, 128, 129, 1024, 70'000};
+  for (int i = 0; i < 48; ++i) {
+    lengths.push_back(rng.Below(70'001));
+  }
+  std::vector<DiffInput> inputs;
+  for (size_t len : lengths) {
+    DiffInput in;
+    in.offset = rng.Below(64);
+    in.buffer.resize(in.offset + len);
+    for (std::byte& b : in.buffer) {
+      b = static_cast<std::byte>(rng.Next());
+    }
+    inputs.push_back(std::move(in));
+  }
+  return inputs;
+}
+
+TEST(HashKernels, Sha256HardwareMatchesScalar) {
+#if defined(__x86_64__)
+  if (!hash_internal::CpuHasShaNi()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions; scalar kernel only";
+  }
+  Rng splits(11);
+  for (const DiffInput& in : DiffInputs(10)) {
+    SCOPED_TRACE(::testing::Message() << "len " << in.data().size()
+                                      << " offset " << in.offset);
+    const Sha256Digest want =
+        DigestWith(hash_internal::Sha256CompressScalar, in.data());
+    EXPECT_EQ(DigestWith(hash_internal::Sha256CompressShaNi, in.data()),
+              want);
+    EXPECT_EQ(DigestInPieces(&splits, in.data()), want);
+    EXPECT_EQ(Sha256Of(in.data()), want);
+  }
+#else
+  GTEST_SKIP() << "no hardware SHA-256 kernel on this architecture";
+#endif
+}
+
+TEST(HashKernels, Crc32cHardwareMatchesScalar) {
+#if defined(__x86_64__)
+  if (!hash_internal::CpuHasSse42()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2; scalar kernel only";
+  }
+  EXPECT_EQ(hash_internal::Crc32cExtendSse42(0, AsBytes("123456789")),
+            0xE3069283u);
+  Rng splits(21);
+  for (const DiffInput& in : DiffInputs(20)) {
+    SCOPED_TRACE(::testing::Message() << "len " << in.data().size()
+                                      << " offset " << in.offset);
+    const uint32_t want = hash_internal::Crc32cExtendScalar(0, in.data());
+    EXPECT_EQ(hash_internal::Crc32cExtendSse42(0, in.data()), want);
+    EXPECT_EQ(CrcInPieces(&splits, in.data()), want);
+    EXPECT_EQ(Crc32c(in.data()), want);
+    // A nonzero running CRC must extend identically too.
+    EXPECT_EQ(hash_internal::Crc32cExtendSse42(0xDEADBEEF, in.data()),
+              hash_internal::Crc32cExtendScalar(0xDEADBEEF, in.data()));
+  }
+#else
+  GTEST_SKIP() << "no hardware CRC32C kernel on this architecture";
+#endif
 }
 
 }  // namespace

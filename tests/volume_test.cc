@@ -1,6 +1,7 @@
 // LogVolume internals: entrymap fetch displacement, the synthesize-from-
 // lower-levels fallback, entrymap node chunking, time search over damaged
-// regions, fragment-chain truncation, and the linear scan paths.
+// regions, fragment-chain truncation, the linear scan paths, and the
+// staged tail block's one-image lifecycle.
 #include "src/clio/volume.h"
 
 #include <gtest/gtest.h>
@@ -210,6 +211,41 @@ TEST(VolumeInternals, TimeSearchSkipsInvalidatedBlocks) {
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed, volume->GetBlock(*block, &stats));
   ASSERT_TRUE(parsed.FirstTimestamp().has_value());
   EXPECT_LE(*parsed.FirstTimestamp(), stamps[30]);
+}
+
+TEST(VolumeInternals, StagedTailIsRebuiltOnlyWhenItChanges) {
+  auto rig = VolumeRig::Make(1024, 16);
+  ASSERT_OK(rig.service->CreateLogFile("/t").status());
+  ASSERT_OK(rig.service->Append("/t", AsBytes("first")).status());
+  LogVolume* volume = rig.volume();
+  const uint64_t tail = volume->end_block();  // the staging block
+  ASSERT_EQ(volume->end_including_staged(), tail + 1);
+  OpStats op;
+  ASSERT_OK_AND_ASSIGN(ParsedBlock a, volume->GetBlock(tail, &op));
+  ASSERT_OK_AND_ASSIGN(ParsedBlock b, volume->GetBlock(tail, &op));
+  EXPECT_EQ(a.shared_image(), b.shared_image())
+      << "an unchanged tail is served from one build and parse";
+  EXPECT_EQ(ToString(a.entries().back().payload), "first");
+
+  // A read after a new entry sees it.
+  ASSERT_OK(rig.service->Append("/t", AsBytes("second")).status());
+  ASSERT_EQ(volume->end_block(), tail);  // still staged
+  ASSERT_OK_AND_ASSIGN(ParsedBlock c, volume->GetBlock(tail, &op));
+  EXPECT_NE(c.shared_image(), a.shared_image());
+  ASSERT_EQ(c.entries().size(), a.entries().size() + 1);
+  EXPECT_EQ(ToString(c.entries().back().payload), "second");
+  EXPECT_EQ(ToString(a.entries().back().payload), "first")
+      << "an earlier reader's snapshot is immutable";
+
+  // Burning the tail writes and caches that very image: the staged read,
+  // the device write and the cache share one allocation. (The first
+  // volume's blocks are cached under device id 0.)
+  ASSERT_OK(rig.service->Force());
+  ASSERT_EQ(volume->end_block(), tail + 1);
+  EXPECT_EQ(rig.service->cache().Lookup({0, tail}), c.shared_image());
+  Bytes media(1024);
+  ASSERT_OK(rig.media->ReadBlock(tail, media));
+  EXPECT_EQ(media, c.image());
 }
 
 TEST(VolumeInternals, GetBlockRejectsHeaderAndUnwritten) {
