@@ -227,7 +227,7 @@ PartitionCellResult RunPartitionedCell(uint32_t partitions, int clients) {
   server_options.batch.max_batch_entries = static_cast<size_t>(
       std::max(1, clients / static_cast<int>(partitions)));
   auto server =
-      NetLogServer::StartPartitioned(service.value().get(), server_options);
+      NetLogServer::Start(service.value().get(), server_options);
   BENCH_CHECK_OK(server.status());
 
   {

@@ -77,8 +77,9 @@ void Run() {
 
   // IPC rig with the paper's ~0.5 ms round trip (250 us each way).
   IpcChannel channel(/*simulated_latency_us=*/250);
-  LogServer server(b.service.get(), &channel);
-  server.Start();
+  auto server = LogServer::Create(b.service.get(), &channel);
+  BENCH_CHECK_OK(server.status());
+  (*server)->Start();
   LogClient client(&channel);
 
   std::vector<double> null_samples = TimeAppends(&client, "/null", 0, kWrites);
@@ -86,7 +87,7 @@ void Run() {
       TimeAppends(&client, "/fifty", 50, kWrites);
   double null_us = Mean(null_samples);
   double fifty_us = Mean(fifty_samples);
-  server.Stop();
+  (*server)->Stop();
 
   // Server-side costs without the IPC hop.
   std::vector<double> direct_null_samples =

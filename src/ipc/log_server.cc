@@ -4,6 +4,13 @@
 
 namespace clio {
 
+Result<std::unique_ptr<LogServer>> LogServer::Create(LogService* service,
+                                                     IpcChannel* channel) {
+  CLIO_ASSIGN_OR_RETURN(std::unique_ptr<PartitionedLogService> single,
+                        PartitionedLogService::Borrow(service));
+  return std::unique_ptr<LogServer>(new LogServer(std::move(single), channel));
+}
+
 void LogServer::Start() {
   thread_ = std::thread([this] { Run(); });
 }

@@ -9,19 +9,25 @@
 #ifndef SRC_IPC_LOG_SERVER_H_
 #define SRC_IPC_LOG_SERVER_H_
 
+#include <memory>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "src/clio/log_service.h"
 #include "src/ipc/channel.h"
 #include "src/ipc/codec.h"
+#include "src/partition/partitioned_service.h"
 
 namespace clio {
 
 class LogServer {
  public:
-  LogServer(LogService* service, IpcChannel* channel)
-      : dispatcher_(service, &service->mutex()), channel_(channel) {}
+  // Serves `service` (caller-owned; must outlive the server) as a
+  // one-partition deployment, like the TCP server. Fails only if the
+  // service's catalog names a partition other than 0.
+  static Result<std::unique_ptr<LogServer>> Create(LogService* service,
+                                                   IpcChannel* channel);
   ~LogServer() { Stop(); }
 
   LogServer(const LogServer&) = delete;
@@ -35,6 +41,13 @@ class LogServer {
   void Run();
 
  private:
+  LogServer(std::unique_ptr<PartitionedLogService> service,
+            IpcChannel* channel)
+      : service_(std::move(service)),
+        dispatcher_(service_.get()),
+        channel_(channel) {}
+
+  std::unique_ptr<PartitionedLogService> service_;
   ServiceDispatcher dispatcher_;
   IpcChannel* channel_;
   std::thread thread_;

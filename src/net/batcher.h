@@ -44,9 +44,10 @@ struct GroupCommitOptions {
   size_t max_batch_bytes = 1 << 20;
   // ...or when the oldest queued entry has waited this long.
   uint64_t max_hold_us = 500;
-  // When nonempty (".p<i>" on a partitioned server's lane i), this batcher
-  // additionally records into suffixed mirrors of the clio.net.batch.*
-  // metrics, so per-lane commit economics are separable in kStats.
+  // When nonempty (".p<i>" on lane i of a multi-partition server), this
+  // batcher additionally records into suffixed mirrors of the
+  // clio.net.batch.* metrics, so per-lane commit economics are separable
+  // in kStats.
   std::string metric_suffix;
 };
 

@@ -22,8 +22,7 @@ ConnState::ReadOutcome ConnState::ReadStep() {
       }
       if (io->eof) {
         // Clean close only on a frame boundary; EOF with a frame underway
-        // is indistinguishable from truncation and closes as bad framing,
-        // exactly like the blocking server's short ReadFull.
+        // is indistinguishable from truncation and closes as bad framing.
         return (phase_ == Phase::kHeader && pos_ == 0)
                    ? ReadOutcome::kPeerClosed
                    : ReadOutcome::kBadFrame;

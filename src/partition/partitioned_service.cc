@@ -47,10 +47,9 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Create(
     }
     CLIO_ASSIGN_OR_RETURN(auto part, LogService::Create(std::move(devices[p]),
                                                         clock, o));
-    svc->partitions_.push_back(std::move(part));
+    svc->AddOwned(std::move(part));
   }
-  svc->router_ = std::make_unique<PartitionRouter>(
-      static_cast<uint32_t>(svc->partitions_.size()));
+  svc->router_ = std::make_unique<PartitionRouter>(svc->partition_count());
   return svc;
 }
 
@@ -77,7 +76,7 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Recover(
     if (reports != nullptr) {
       reports->push_back(report);
     }
-    svc->partitions_.push_back(std::move(part));
+    svc->AddOwned(std::move(part));
   }
   // Each partition is its own volume sequence; two equal ids mean the same
   // chain (or a copy) was mounted twice.
@@ -91,43 +90,53 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Recover(
       }
     }
   }
-  // The catalogs are the durable routing table; rebuild the cache. Mirrored
-  // ancestors carry their original home id, so every partition that knows a
-  // path agrees on its home (disagreement is corruption, caught by Learn).
-  svc->router_ = std::make_unique<PartitionRouter>(
-      static_cast<uint32_t>(svc->partitions_.size()));
-  for (const auto& part : svc->partitions_) {
+  CLIO_RETURN_IF_ERROR(svc->LearnRoutes());
+  return svc;
+}
+
+Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Borrow(
+    LogService* service) {
+  auto svc = std::unique_ptr<PartitionedLogService>(
+      new PartitionedLogService(service->clock()));
+  svc->partitions_.push_back(service);
+  CLIO_RETURN_IF_ERROR(svc->LearnRoutes());
+  return svc;
+}
+
+Status PartitionedLogService::LearnRoutes() {
+  router_ = std::make_unique<PartitionRouter>(partition_count());
+  for (LogService* part : partitions_) {
+    std::shared_lock<std::shared_mutex> lock(part->mutex());
     for (const LogFileInfo& info : part->catalog().All()) {
       CLIO_ASSIGN_OR_RETURN(std::string path, part->catalog().PathOf(info.id));
-      CLIO_RETURN_IF_ERROR(svc->router_->Learn(path, info.home_partition));
+      CLIO_RETURN_IF_ERROR(router_->Learn(path, info.home_partition));
     }
   }
-  return svc;
+  return Status::Ok();
 }
 
 Result<uint32_t> PartitionedLogService::CreateLogFile(
     std::string_view path, uint32_t permissions,
     std::optional<uint32_t> placement) {
   if (placement.has_value() && *placement >= partition_count()) {
-    return InvalidArgument("placement " + std::to_string(*placement) +
-                           " out of range: " +
-                           std::to_string(partition_count()) + " partitions");
+    return InvalidArgument("server has no partition " +
+                           std::to_string(*placement));
   }
-  if (path == "/") {
+  // With one partition its LogService rejects "/" itself (a bad path).
+  if (path == "/" && partition_count() > 1) {
     return AlreadyExists("'/' names the volume sequence log");
   }
   std::lock_guard<std::mutex> create_lock(create_mu_);
+  uint32_t home =
+      placement.has_value() ? *placement : router_->HashRoute(path);
   if (auto existing = router_->Lookup(path)) {
     if (placement.has_value() && *placement != *existing) {
       return FailedPrecondition("log file '" + std::string(path) +
                                 "' already lives on partition " +
                                 std::to_string(*existing));
     }
-    return AlreadyExists("log file '" + std::string(path) +
-                         "' already exists");
+    home = *existing;  // its home's LogService reports the duplicate
   }
-  uint32_t home =
-      placement.has_value() ? *placement : router_->HashRoute(path);
   CLIO_RETURN_IF_ERROR(MirrorAncestors(path, home));
   {
     std::lock_guard<std::shared_mutex> lock(partitions_[home]->mutex());
@@ -144,16 +153,14 @@ Status PartitionedLogService::MirrorAncestors(std::string_view path,
                                               uint32_t home) {
   // Proper ancestors, root excluded, parent-before-child: "/a/b/c" visits
   // "/a" then "/a/b". Each must already exist somewhere (matching the
-  // single-service rule that intermediate components are created first).
+  // LogService rule that intermediate components are created first).
   for (size_t pos = path.find('/', 1); pos != std::string_view::npos;
        pos = path.find('/', pos + 1)) {
     std::string_view ancestor = path.substr(0, pos);
-    auto ancestor_home = router_->Lookup(ancestor);
-    if (!ancestor_home.has_value()) {
-      return NotFound("log file '" + std::string(ancestor) +
-                      "' does not exist");
-    }
-    if (*ancestor_home == home) {
+    // An unknown ancestor is looked for on partition 0, whose Stat (or,
+    // when the leaf lands there, whose create) reports it missing.
+    const uint32_t ancestor_home = HomeOf(ancestor);
+    if (ancestor_home == home) {
       continue;  // native to the target partition
     }
     {
@@ -165,8 +172,8 @@ Status PartitionedLogService::MirrorAncestors(std::string_view path,
     LogFileInfo info;
     {
       std::shared_lock<std::shared_mutex> lock(
-          partitions_[*ancestor_home]->mutex());
-      auto stat = partitions_[*ancestor_home]->Stat(ancestor);
+          partitions_[ancestor_home]->mutex());
+      auto stat = partitions_[ancestor_home]->Stat(ancestor);
       if (!stat.ok()) {
         return stat.status();
       }
@@ -174,7 +181,7 @@ Status PartitionedLogService::MirrorAncestors(std::string_view path,
     }
     std::lock_guard<std::shared_mutex> lock(partitions_[home]->mutex());
     auto created = partitions_[home]->CreateLogFile(ancestor, info.permissions,
-                                                    *ancestor_home);
+                                                    ancestor_home);
     if (!created.ok()) {
       return created.status();
     }
@@ -185,22 +192,14 @@ Status PartitionedLogService::MirrorAncestors(std::string_view path,
 Result<AppendResult> PartitionedLogService::Append(
     std::string_view path, std::span<const std::byte> payload,
     const WriteOptions& options) {
-  uint32_t target = 0;
-  if (path != "/") {  // "/" has no single home; its direct appends land on 0
-    auto route = router_->Lookup(path);
-    if (!route.has_value()) {
-      return NotFound("log file '" + std::string(path) + "' does not exist");
-    }
-    target = *route;
-  }
-  LogService* service = partitions_[target].get();
+  LogService* service = partitions_[HomeOf(path)];
   std::lock_guard<std::shared_mutex> lock(service->mutex());
   return service->Append(path, payload, options);
 }
 
 Status PartitionedLogService::Force() {
   Status first = Status::Ok();
-  for (const auto& part : partitions_) {
+  for (LogService* part : partitions_) {
     std::lock_guard<std::shared_mutex> lock(part->mutex());
     Status st = part->Force();
     if (!st.ok() && first.ok()) {
@@ -211,35 +210,61 @@ Status PartitionedLogService::Force() {
 }
 
 Result<LogFileInfo> PartitionedLogService::Stat(std::string_view path) const {
-  uint32_t target = 0;
-  if (path != "/") {
-    auto route = router_->Lookup(path);
-    if (!route.has_value()) {
-      return NotFound("log file '" + std::string(path) + "' does not exist");
-    }
-    target = *route;
-  }
-  const LogService* service = partitions_[target].get();
+  const LogService* service = partitions_[HomeOf(path)];
   std::shared_lock<std::shared_mutex> lock(service->mutex());
   return service->Stat(path);
+}
+
+Result<PartitionInfoResult> PartitionedLogService::PartitionInfo(
+    std::string_view path) const {
+  PartitionInfoResult result;
+  result.partition_count = partition_count();
+  if (!path.empty()) {
+    CLIO_RETURN_IF_ERROR(Stat(path).status());
+    result.partition = HomeOf(path);
+  }
+  return result;
+}
+
+Result<ChainProof> PartitionedLogService::BuildChainProof(
+    std::string_view path, Timestamp t) {
+  // Proof building only walks burned (immutable) blocks and the published
+  // staged tail, so the SHARED lock suffices; on the owner alone, so proofs
+  // on one partition never delay appends on another.
+  if (auto home = RouteOf(path)) {
+    LogService* owner = partitions_[*home];
+    std::shared_lock<std::shared_mutex> lock(owner->mutex());
+    return owner->BuildChainProof(path, t);
+  }
+  Result<ChainProof> proof = NotFound("no partitions");
+  for (LogService* part : partitions_) {
+    std::shared_lock<std::shared_mutex> lock(part->mutex());
+    proof = part->BuildChainProof(path, t);
+    if (proof.ok() || proof.status().code() != StatusCode::kNotFound) {
+      break;
+    }
+  }
+  return proof;
 }
 
 Result<std::unique_ptr<PartitionedLogReader>>
 PartitionedLogService::OpenReader(std::string_view path) {
   std::vector<PartitionedLogReader::Source> sources;
-  for (const auto& part : partitions_) {
+  Status not_found = Status::Ok();
+  for (LogService* part : partitions_) {
     std::shared_lock<std::shared_mutex> lock(part->mutex());
     auto reader = part->OpenReader(path);
     if (!reader.ok()) {
       if (reader.status().code() == StatusCode::kNotFound) {
-        continue;  // this partition holds none of the log file's entries
+        not_found = reader.status();  // holds none of the log file's entries
+        continue;
       }
       return reader.status();
     }
-    sources.push_back({part.get(), std::move(reader).value()});
+    sources.push_back({part, std::move(reader).value()});
   }
   if (sources.empty()) {
-    return NotFound("log file '" + std::string(path) + "' does not exist");
+    return not_found;  // every partition's own NotFound reads alike
   }
   return std::make_unique<PartitionedLogReader>(std::move(sources));
 }
@@ -288,91 +313,76 @@ Result<std::optional<LogEntryRecord>> PartitionedLogReader::Next(
   // Advance-and-undo: step every source forward, keep the minimum, back
   // the others up. The cursor gap model (Next then Prev returns the same
   // entry) makes the undo exact.
-  std::vector<std::optional<LogEntryRecord>> advanced(sources_.size());
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-    auto next = sources_[i].reader->Next(stats);
-    if (!next.ok()) {
-      lock.unlock();
-      // Roll back the sources already stepped so the merge position is
-      // unchanged; a rollback failure is unreported (the blocks were just
-      // read, so re-reading them is as good as a read can get).
-      for (size_t j = 0; j < i; ++j) {
-        if (advanced[j].has_value()) {
-          std::shared_lock<std::shared_mutex> undo_lock(
-              sources_[j].service->mutex());
-          (void)sources_[j].reader->Prev();
-        }
-      }
-      return next.status();
-    }
-    advanced[i] = std::move(next).value();
-  }
-  std::optional<size_t> winner;
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    if (advanced[i].has_value() &&
-        (!winner.has_value() ||
-         MergesBefore(*advanced[i], i, *advanced[*winner], *winner))) {
-      winner = i;
-    }
-  }
-  if (!winner.has_value()) {
-    return std::optional<LogEntryRecord>{};
-  }
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    if (i != *winner && advanced[i].has_value()) {
-      std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-      auto undone = sources_[i].reader->Prev();
-      if (!undone.ok()) {
-        return undone.status();
-      }
-    }
-  }
-  return std::move(advanced[*winner]);
+  return Step(/*forward=*/true, stats);
 }
 
 Result<std::optional<LogEntryRecord>> PartitionedLogReader::Prev(
     OpStats* stats) {
   // Mirror of Next(): step every source backward, keep the MAXIMUM (ties
   // to the highest index, so Next-then-Prev round-trips), undo the rest.
-  std::vector<std::optional<LogEntryRecord>> stepped(sources_.size());
+  return Step(/*forward=*/false, stats);
+}
+
+Result<std::optional<LogEntryRecord>> PartitionedLogReader::Step(
+    bool forward, OpStats* stats) {
+  auto step = [forward](LogReader* reader, OpStats* s) {
+    return forward ? reader->Next(s) : reader->Prev(s);
+  };
+  auto undo = [forward](LogReader* reader) {
+    return forward ? reader->Prev() : reader->Next();
+  };
+  // Empties the scratch on every return path, so no record outlives the
+  // call in it.
+  auto clear = [this] {
+    for (auto& record : stepped_) {
+      record.reset();
+    }
+  };
   for (size_t i = 0; i < sources_.size(); ++i) {
     std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-    auto prev = sources_[i].reader->Prev(stats);
-    if (!prev.ok()) {
+    auto stepped = step(sources_[i].reader.get(), stats);
+    if (!stepped.ok()) {
       lock.unlock();
+      // Roll back the sources already stepped so the merge position is
+      // unchanged; a rollback failure is unreported (the blocks were just
+      // read, so re-reading them is as good as a read can get).
       for (size_t j = 0; j < i; ++j) {
-        if (stepped[j].has_value()) {
+        if (stepped_[j].has_value()) {
           std::shared_lock<std::shared_mutex> undo_lock(
               sources_[j].service->mutex());
-          (void)sources_[j].reader->Next();
+          (void)undo(sources_[j].reader.get());
         }
       }
-      return prev.status();
+      clear();
+      return stepped.status();
     }
-    stepped[i] = std::move(prev).value();
+    stepped_[i] = std::move(stepped).value();
   }
   std::optional<size_t> winner;
   for (size_t i = 0; i < sources_.size(); ++i) {
-    if (stepped[i].has_value() &&
+    if (stepped_[i].has_value() &&
         (!winner.has_value() ||
-         !MergesBefore(*stepped[i], i, *stepped[*winner], *winner))) {
+         MergesBefore(*stepped_[i], i, *stepped_[*winner], *winner) ==
+             forward)) {
       winner = i;
     }
   }
   if (!winner.has_value()) {
-    return std::optional<LogEntryRecord>{};
+    return std::optional<LogEntryRecord>{};  // every slot is already empty
   }
   for (size_t i = 0; i < sources_.size(); ++i) {
-    if (i != *winner && stepped[i].has_value()) {
+    if (i != *winner && stepped_[i].has_value()) {
       std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-      auto undone = sources_[i].reader->Next();
+      auto undone = undo(sources_[i].reader.get());
       if (!undone.ok()) {
+        clear();
         return undone.status();
       }
     }
   }
-  return std::move(stepped[*winner]);
+  std::optional<LogEntryRecord> result = std::move(stepped_[*winner]);
+  clear();
+  return result;
 }
 
 Result<std::optional<LogEntryRecord>> PartitionedLogReader::FindByTimestamp(

@@ -35,7 +35,13 @@
 // OWNING partition's lock in the contract's mode, so appends to different
 // partitions never contend. Multi-lane frontends (src/net/) that need to
 // interleave batching with the lock reach through partition(i)/mutex()
-// directly, exactly as they do for a single service.
+// directly.
+//
+// One volume sequence. Borrow() serves a caller-owned LogService as a
+// one-partition deployment, which is how every server fronts a single
+// volume: one dispatch path for one partition or many. Paths with no
+// recorded home fall to partition 0, so with one partition the LogService
+// itself answers every request, errors included.
 #ifndef SRC_PARTITION_PARTITIONED_SERVICE_H_
 #define SRC_PARTITION_PARTITIONED_SERVICE_H_
 
@@ -47,6 +53,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/clio/chain.h"
 #include "src/clio/log_service.h"
 #include "src/clio/types.h"
 #include "src/device/block_device.h"
@@ -57,6 +64,13 @@
 namespace clio {
 
 class PartitionedLogReader;
+
+// Partition topology as the kPartitionInfo op reports it.
+struct PartitionInfoResult {
+  uint32_t partition_count = 1;
+  // The partition serving the queried path; unset when no path was given.
+  std::optional<uint32_t> partition;
+};
 
 struct PartitionedServiceOptions {
   // Template applied to every partition. `sequence_id`, when nonzero, is
@@ -92,13 +106,20 @@ class PartitionedLogService {
       TimeSource* clock, const PartitionedServiceOptions& options,
       std::vector<RecoveryReport>* reports);
 
+  // A one-partition deployment over `service`, which the caller keeps
+  // owning and which must outlive the result. The router is rebuilt from
+  // the service's catalog; kCorrupt if a record claims a partition other
+  // than 0 (a partition of a larger deployment mounted alone).
+  static Result<std::unique_ptr<PartitionedLogService>> Borrow(
+      LogService* service);
+
   PartitionedLogService(const PartitionedLogService&) = delete;
   PartitionedLogService& operator=(const PartitionedLogService&) = delete;
 
   uint32_t partition_count() const {
     return static_cast<uint32_t>(partitions_.size());
   }
-  LogService* partition(uint32_t i) { return partitions_[i].get(); }
+  LogService* partition(uint32_t i) { return partitions_[i]; }
   PartitionRouter& router() { return *router_; }
   const PartitionRouter& router() const { return *router_; }
   TimeSource* clock() { return clock_; }
@@ -106,7 +127,8 @@ class PartitionedLogService {
   // Creates a log file on `placement` (explicit) or its hash partition,
   // mirroring any not-yet-present ancestors onto that partition first.
   // Returns the home partition chosen. Intermediate components must
-  // already exist somewhere in the deployment, matching LogService.
+  // already exist somewhere in the deployment, matching LogService, whose
+  // errors (bad path, duplicate, missing parent) pass through unchanged.
   Result<uint32_t> CreateLogFile(std::string_view path,
                                  uint32_t permissions = 0644,
                                  std::optional<uint32_t> placement
@@ -129,6 +151,24 @@ class PartitionedLogService {
     return router_->Lookup(path);
   }
 
+  // The partition that serves appends and Stat for `path`: its recorded
+  // home, else partition 0 (which holds "/"'s direct entries, and answers
+  // NotFound for a path no partition knows). With one partition that is
+  // every path's home, so the router is not consulted.
+  uint32_t HomeOf(std::string_view path) const {
+    return partitions_.size() == 1 ? 0 : RouteOf(path).value_or(0);
+  }
+
+  // The partition count, plus HomeOf(path) when `path` is nonempty and
+  // exists (Stat's error otherwise).
+  Result<PartitionInfoResult> PartitionInfo(std::string_view path) const;
+
+  // Inclusion proof for the entry of `path` at exact timestamp `t`, built
+  // under the owning partition's SHARED lock only. A path with no recorded
+  // home ("/") probes each partition and returns the first answer that is
+  // not NotFound.
+  Result<ChainProof> BuildChainProof(std::string_view path, Timestamp t);
+
   // Opens a merged reader over every partition where `path` resolves
   // (its home plus any partitions holding it as a mirrored ancestor).
   Result<std::unique_ptr<PartitionedLogReader>> OpenReader(
@@ -137,12 +177,25 @@ class PartitionedLogService {
  private:
   explicit PartitionedLogService(TimeSource* clock) : clock_(clock) {}
 
+  // Takes ownership of `service` as the next partition.
+  void AddOwned(std::unique_ptr<LogService> service) {
+    partitions_.push_back(service.get());
+    owned_.push_back(std::move(service));
+  }
+
+  // Builds the router from the partitions' catalogs, the durable routing
+  // table. Mirrored ancestors carry their original home id, so every
+  // partition that knows a path agrees on its home (disagreement is
+  // corruption, caught by Learn).
+  Status LearnRoutes();
+
   // Mirrors `path`'s proper ancestors onto partition `home` (each with its
   // own original home id). Caller holds create_mu_.
   Status MirrorAncestors(std::string_view path, uint32_t home);
 
   TimeSource* clock_;
-  std::vector<std::unique_ptr<LogService>> partitions_;
+  std::vector<LogService*> partitions_;
+  std::vector<std::unique_ptr<LogService>> owned_;  // empty when borrowed
   std::unique_ptr<PartitionRouter> router_;
   // Serializes CreateLogFile end to end, so two concurrent creates of the
   // same path cannot race the router and split-brain onto two partitions.
@@ -178,7 +231,7 @@ class PartitionedLogReader {
   };
 
   explicit PartitionedLogReader(std::vector<Source> sources)
-      : sources_(std::move(sources)) {}
+      : sources_(std::move(sources)), stepped_(sources_.size()) {}
 
   size_t source_count() const { return sources_.size(); }
 
@@ -210,7 +263,14 @@ class PartitionedLogReader {
                                                        = nullptr);
 
  private:
+  // Next() (forward) or Prev(): the shared advance-and-undo merge step.
+  Result<std::optional<LogEntryRecord>> Step(bool forward, OpStats* stats);
+
   std::vector<Source> sources_;
+  // Next()/Prev() scratch: each source's stepped-to record. A member, so a
+  // merged read allocates nothing per entry; emptied before every return
+  // so no record (or its block pins) outlives the call.
+  std::vector<std::optional<LogEntryRecord>> stepped_;
 };
 
 }  // namespace clio

@@ -1,7 +1,9 @@
 // Event-loop server tests: partial-frame state machine behaviour under
 // slow and hostile clients, write backpressure on the zero-copy flush
-// path, connection churn, and byte-for-byte wire equivalence between the
-// epoll server and the thread-per-connection compat mode (DESIGN.md §16).
+// path, connection churn (DESIGN.md §16), and the wire contract: the
+// event loop's replies are byte-identical to flat in-process dispatch, a
+// single volume answers as the one-partition deployment it is served as,
+// and every truncated request body is InvalidArgument (DESIGN.md §9).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,6 +17,7 @@
 #include "src/net/net_server.h"
 #include "src/net/socket.h"
 #include "src/obs/metrics.h"
+#include "src/partition/partitioned_service.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -168,31 +171,6 @@ TEST_F(EventLoopTest, BatchedReadIsServedZeroCopy) {
   EXPECT_TRUE(Eventually([] {
     return ObsRegistry().gauge("clio.cache.pinned_blocks")->value() == 0;
   }));
-}
-
-TEST_F(EventLoopTest, ZeroCopyDisabledStillServesIdenticalBatches) {
-  NetLogServerOptions options;
-  options.zero_copy = false;
-  StartServer(options);
-  auto client = Client();
-  ASSERT_OK(client->CreateLogFile("/flat").status());
-  Rng rng(0xF1A7);
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 8; ++i) {
-    payloads.push_back(RandomPayload(&rng, 1500));
-    ASSERT_OK(client->Append("/flat", payloads.back(), /*timestamped=*/true).status());
-  }
-  const uint64_t zerocopy_before =
-      ObsRegistry().counter("clio.net.reply.zerocopy_bytes")->value();
-  ASSERT_OK_AND_ASSIGN(uint64_t handle, client->OpenReader("/flat"));
-  ASSERT_OK(client->SeekToStart(handle));
-  ASSERT_OK_AND_ASSIGN(EntryBatch batch, client->ReadNextBatch(handle, 1000));
-  ASSERT_EQ(batch.entries.size(), payloads.size());
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(batch.entries[i].payload, payloads[i]) << "entry " << i;
-  }
-  EXPECT_EQ(ObsRegistry().counter("clio.net.reply.zerocopy_bytes")->value(),
-            zerocopy_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,106 +335,6 @@ TEST_F(EventLoopTest, AcceptAndTeardownChurnInRounds) {
   ExpectServerHealthy();
 }
 
-// ---------------------------------------------------------------------------
-// A/B wire equivalence
-
-// The epoll server with zero-copy replies and the thread-per-connection
-// compat server answer the SAME raw request sequence with byte-identical
-// frames. Both serve one shared LogService, so any divergence is the
-// transport's fault — framing, scatter encoding, or flush order.
-TEST(EventLoopAbTest, BothModesProduceByteIdenticalReplies) {
-  ServiceFixture fx = ServiceFixture::Make();
-
-  NetLogServerOptions event_options;  // defaults: epoll loop, zero-copy on
-  auto event_server = NetLogServer::Start(fx.service.get(), event_options);
-  ASSERT_TRUE(event_server.ok()) << event_server.status().ToString();
-  NetLogServerOptions compat_options;
-  compat_options.thread_per_conn = true;
-  auto compat_server = NetLogServer::Start(fx.service.get(), compat_options);
-  ASSERT_TRUE(compat_server.ok()) << compat_server.status().ToString();
-
-  {
-    // Seed shared state through one server; entries with payloads spanning
-    // several 1 KiB blocks exercise multi-segment scatter replies.
-    auto writer = NetLogClient::Connect((*event_server)->port());
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    ASSERT_OK((*writer)->CreateLogFile("/ab").status());
-    Rng rng(0xAB);
-    for (int i = 0; i < 12; ++i) {
-      ASSERT_OK((*writer)
-                    ->Append("/ab", RandomPayload(&rng, 100 + i * 700),
-                             /*force=*/false)
-                    .status());
-    }
-    ASSERT_OK((*writer)->Force());
-  }
-
-  ASSERT_OK_AND_ASSIGN(TcpSocket to_event,
-                       TcpSocket::ConnectLoopback((*event_server)->port()));
-  ASSERT_OK_AND_ASSIGN(TcpSocket to_compat,
-                       TcpSocket::ConnectLoopback((*compat_server)->port()));
-
-  // (op, body) script; both fresh sessions allocate the same handle.
-  const uint64_t kHandleProbe = 0;  // patched after kOpenReader
-  std::vector<std::pair<LogOp, Bytes>> script;
-  script.emplace_back(LogOp::kOpenReader, PathBody("/ab"));
-  script.emplace_back(LogOp::kSeekToStart, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kReadBatch, ReadBatchBody(kHandleProbe, 5));
-  script.emplace_back(LogOp::kReadNext, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kReadBatch, ReadBatchBody(kHandleProbe, 1000));
-  script.emplace_back(LogOp::kSeekToEnd, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kReadPrev, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kStat, PathBody("/ab"));
-  script.emplace_back(LogOp::kStat, PathBody("/missing"));  // error reply
-  script.emplace_back(LogOp::kReadNext, HandleBody(~0ull));  // bad handle
-
-  uint64_t event_handle = 0;
-  uint64_t compat_handle = 0;
-  for (size_t i = 0; i < script.size(); ++i) {
-    const auto& [op, body_template] = script[i];
-    auto patched = [&](uint64_t handle) {
-      Bytes body = body_template;
-      if (i > 0 && op != LogOp::kStat && body.size() >= 8) {
-        StoreU64(body, 0, handle);
-      }
-      return body;
-    };
-    const uint64_t request_id = 100 + i;
-    const uint64_t trace_id = 7'000 + i;
-    ASSERT_OK_AND_ASSIGN(Bytes event_reply,
-                         RawRoundTrip(&to_event, op, request_id,
-                                      patched(event_handle), trace_id));
-    ASSERT_OK_AND_ASSIGN(Bytes compat_reply,
-                         RawRoundTrip(&to_compat, op, request_id,
-                                      patched(compat_handle), trace_id));
-    EXPECT_EQ(event_reply, compat_reply)
-        << "step " << i << " (op " << static_cast<uint32_t>(op)
-        << "): wire divergence between event-loop and thread-per-conn";
-    if (op == LogOp::kOpenReader) {
-      auto extract = [](const Bytes& reply) -> uint64_t {
-        auto header = DecodeFrameHeader(reply);
-        if (!header.ok()) {
-          return 0;
-        }
-        auto payload = DecodeReplyBody(std::span<const std::byte>(reply)
-                                           .subspan(reply.size() -
-                                                    header->body_size));
-        if (!payload.ok() || payload->size() < 8) {
-          return 0;
-        }
-        return LoadU64(*payload, 0);
-      };
-      event_handle = extract(event_reply);
-      compat_handle = extract(compat_reply);
-      ASSERT_NE(event_handle, 0u);
-      EXPECT_EQ(event_handle, compat_handle);
-    }
-  }
-
-  (*event_server)->Stop();
-  (*compat_server)->Stop();
-}
-
 // Stop() with a flushed-but-unread reply still delivers the bytes: the
 // drain path lets flushing connections finish before their sockets close.
 TEST_F(EventLoopTest, StopDrainsInFlightRequests) {
@@ -469,6 +347,240 @@ TEST_F(EventLoopTest, StopDrainsInFlightRequests) {
   server_->Stop();
   // After a graceful stop the socket reports EOF, not a reset.
   EXPECT_TRUE(ConnectionDropped(&raw));
+}
+
+// ---------------------------------------------------------------------------
+// Wire contract
+
+// The body of a reply frame as returned by RawRoundTrip.
+std::span<const std::byte> ReplyBodyOf(const Bytes& reply) {
+  auto header = DecodeFrameHeader(reply);
+  if (!header.ok()) {
+    return {};
+  }
+  return std::span<const std::byte>(reply).subspan(reply.size() -
+                                                   header->body_size);
+}
+
+// The event loop (scatter replies, zero-copy batches, worker handoff)
+// answers a raw request script with exactly the frames a flat in-process
+// ServiceDispatcher produces for the same requests over the same volume:
+// EncodeFrame(header, Dispatch(op, body)). Any divergence is the
+// transport's fault — framing, scatter encoding, or flush order.
+TEST(EventLoopWireTest, RepliesMatchFlatDispatchByteForByte) {
+  ServiceFixture fx = ServiceFixture::Make();
+  ASSERT_OK_AND_ASSIGN(auto server, NetLogServer::Start(fx.service.get()));
+  {
+    // Entries with payloads spanning several 1 KiB blocks exercise
+    // multi-segment scatter replies.
+    ASSERT_OK_AND_ASSIGN(auto writer, NetLogClient::Connect(server->port()));
+    ASSERT_OK(writer->CreateLogFile("/ab").status());
+    Rng rng(0xAB);
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_OK(writer
+                    ->Append("/ab", RandomPayload(&rng, 100 + i * 700),
+                             /*timestamped=*/false)
+                    .status());
+    }
+    ASSERT_OK(writer->Force());
+  }
+  ASSERT_OK_AND_ASSIGN(auto single,
+                       PartitionedLogService::Borrow(fx.service.get()));
+  ServiceDispatcher flat(single.get());
+  ASSERT_OK_AND_ASSIGN(TcpSocket socket,
+                       TcpSocket::ConnectLoopback(server->port()));
+
+  // Both sessions are fresh, so both hand out reader handle 1.
+  const uint64_t kHandle = 1;
+  Bytes placed_create;
+  {
+    ByteWriter w(&placed_create);
+    w.PutString("/placed");
+    w.PutU32(0644);
+    w.PutU32(1);  // no such partition: an error reply
+  }
+  Bytes verify_missing;
+  {
+    ByteWriter w(&verify_missing);
+    w.PutString("/ab");
+    w.PutI64(42);  // no entry carries this timestamp
+  }
+  const std::vector<std::pair<LogOp, Bytes>> script = {
+      {LogOp::kOpenReader, PathBody("/ab")},
+      {LogOp::kSeekToStart, HandleBody(kHandle)},
+      {LogOp::kReadBatch, ReadBatchBody(kHandle, 5)},
+      {LogOp::kReadNext, HandleBody(kHandle)},
+      {LogOp::kReadBatch, ReadBatchBody(kHandle, 1000)},
+      {LogOp::kSeekToEnd, HandleBody(kHandle)},
+      {LogOp::kReadPrev, HandleBody(kHandle)},
+      {LogOp::kStat, PathBody("/ab")},
+      {LogOp::kStat, PathBody("/missing")},
+      {LogOp::kOpenReader, PathBody("/missing")},
+      {LogOp::kReadNext, HandleBody(~0ull)},
+      {LogOp::kPartitionInfo, PathBody("/ab")},
+      {LogOp::kCreateLogFile, placed_create},
+      {LogOp::kAppend, EncodeAppendRequest("/missing", AsBytes("x"), true,
+                                           false)},
+      {LogOp::kVerifyChain, verify_missing},
+      {LogOp::kCloseReader, HandleBody(kHandle)},
+      {LogOp::kReadNext, HandleBody(kHandle)},  // closed: an error reply
+  };
+  for (size_t i = 0; i < script.size(); ++i) {
+    const auto& [op, body] = script[i];
+    FrameHeader header;
+    header.op = static_cast<uint32_t>(op);
+    header.request_id = 100 + i;
+    header.trace_id = 7'000 + i;
+    ASSERT_OK_AND_ASSIGN(Bytes reply,
+                         RawRoundTrip(&socket, op, header.request_id, body,
+                                      header.trace_id));
+    const Bytes expected = EncodeFrame(header, flat.Dispatch(op, body));
+    EXPECT_EQ(reply, expected)
+        << "step " << i << " (" << LogOpName(op)
+        << "): event loop diverges from flat dispatch";
+  }
+  server->Stop();
+}
+
+// A single volume is served as a one-partition deployment and must answer
+// exactly as a single-volume server always has: the topology op's edge
+// cases, placement, the root's attributes, and STATS names without
+// per-partition ".p0" mirrors.
+TEST(SingleVolumeWireTest, EdgeRepliesKeepTheSingleVolumeContract) {
+  ServiceFixture fx = ServiceFixture::Make();
+  ASSERT_OK_AND_ASSIGN(auto server, NetLogServer::Start(fx.service.get()));
+  ASSERT_OK_AND_ASSIGN(auto client, NetLogClient::Connect(server->port()));
+
+  ASSERT_OK_AND_ASSIGN(PartitionInfoResult topology,
+                       client->GetPartitionInfo(""));
+  EXPECT_EQ(topology.partition_count, 1u);
+  EXPECT_FALSE(topology.partition.has_value());
+  ASSERT_OK_AND_ASSIGN(PartitionInfoResult root, client->GetPartitionInfo("/"));
+  EXPECT_EQ(root.partition_count, 1u);
+  EXPECT_EQ(root.partition, std::optional<uint32_t>(0));
+  Status missing = client->GetPartitionInfo("/missing").status();
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound);
+  EXPECT_EQ(missing.message(), "no such log file: /missing");
+
+  Status placed = client->CreateLogFilePlaced("/placed", 0644, 1).status();
+  EXPECT_EQ(placed.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(placed.message(), "server has no partition 1");
+  ASSERT_OK_AND_ASSIGN(LogFileId id,
+                       client->CreateLogFilePlaced("/placed", 0644, 0));
+  EXPECT_EQ(id, kFirstClientLogId);
+
+  ASSERT_OK_AND_ASSIGN(LogFileInfo info, client->Stat("/"));
+  EXPECT_EQ(info.id, kVolumeSeqLogId);
+  EXPECT_EQ(info.parent, kNoLogFileId);
+  EXPECT_EQ(info.permissions, 0444u);
+
+  ASSERT_OK(client->Append("/placed", AsBytes("p"), true, /*force=*/true)
+                .status());
+  ASSERT_OK_AND_ASSIGN(StatsSnapshot stats, client->GetStats());
+  size_t metrics = 0;
+  auto expect_unsuffixed = [&](const std::string& name) {
+    ++metrics;
+    EXPECT_EQ(name.find(".p0"), std::string::npos) << name;
+  };
+  for (const auto& [name, value] : stats.counters) {
+    expect_unsuffixed(name);
+  }
+  for (const auto& [name, value] : stats.gauges) {
+    expect_unsuffixed(name);
+  }
+  for (const auto& [name, value] : stats.histograms) {
+    expect_unsuffixed(name);
+  }
+  EXPECT_GT(metrics, 0u);
+  server->Stop();
+}
+
+// DESIGN.md §9: a decodable frame whose body is malformed gets an
+// InvalidArgument reply and the session lives on. Every proper prefix of a
+// valid body, for every op that has a body, is such a malformed body
+// (kForce, kStats and kHealth take an empty body, which has no prefix).
+TEST(DispatcherTotalityTest, EveryTruncatedBodyIsInvalidArgument) {
+  ServiceFixture fx = ServiceFixture::Make();
+  ASSERT_OK(fx.service->CreateLogFile("/t").status());
+  ASSERT_OK_AND_ASSIGN(auto server, NetLogServer::Start(fx.service.get()));
+  ASSERT_OK_AND_ASSIGN(TcpSocket socket,
+                       TcpSocket::ConnectLoopback(server->port()));
+
+  Bytes seek_to_time = HandleBody(1);
+  {
+    ByteWriter w(&seek_to_time);
+    w.PutI64(5);
+  }
+  Bytes create;
+  {
+    ByteWriter w(&create);
+    w.PutString("/t/new");
+    w.PutU32(0644);
+  }
+  const size_t unplaced_size = create.size();
+  Bytes create_placed = create;
+  {
+    ByteWriter w(&create_placed);
+    w.PutU32(0);
+  }
+  Bytes trace_dump;
+  {
+    ByteWriter w(&trace_dump);
+    w.PutU64(0);
+    w.PutU32(16);
+  }
+  Bytes verify = PathBody("/t");
+  {
+    ByteWriter w(&verify);
+    w.PutI64(1);
+  }
+  struct Case {
+    LogOp op;
+    Bytes body;
+    // Prefixes shorter than this are not tested: the placement field of
+    // kCreateLogFile is optional, so the unplaced body is itself valid.
+    size_t first_prefix = 0;
+  };
+  const std::vector<Case> cases = {
+      {LogOp::kCreateLogFile, create},
+      {LogOp::kCreateLogFile, create_placed, unplaced_size + 1},
+      {LogOp::kAppend,
+       EncodeAppendRequest("/t", AsBytes("abc"), true, false, 7, 9)},
+      {LogOp::kOpenReader, PathBody("/t")},
+      {LogOp::kCloseReader, HandleBody(1)},
+      {LogOp::kReadNext, HandleBody(1)},
+      {LogOp::kReadPrev, HandleBody(1)},
+      {LogOp::kSeekToTime, seek_to_time},
+      {LogOp::kSeekToStart, HandleBody(1)},
+      {LogOp::kSeekToEnd, HandleBody(1)},
+      {LogOp::kStat, PathBody("/t")},
+      {LogOp::kReadBatch, ReadBatchBody(1, 4)},
+      {LogOp::kTraceDump, trace_dump},
+      {LogOp::kPartitionInfo, PathBody("/t")},
+      {LogOp::kVerifyChain, verify},
+  };
+  uint64_t request_id = 1;
+  for (const Case& c : cases) {
+    for (size_t len = c.first_prefix; len < c.body.size(); ++len) {
+      auto prefix = std::span<const std::byte>(c.body).first(len);
+      ASSERT_OK_AND_ASSIGN(Bytes reply, RawRoundTrip(&socket, c.op,
+                                                     request_id++, prefix));
+      Status status = DecodeReplyBody(ReplyBodyOf(reply)).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << LogOpName(c.op) << " body truncated to " << len << " of "
+          << c.body.size() << " bytes: " << status.ToString();
+    }
+  }
+  // Nothing a malformed body asked for took effect, and the session that
+  // sent them all still serves.
+  EXPECT_EQ(fx.service->Resolve("/t/new").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_OK_AND_ASSIGN(Bytes reply,
+                       RawRoundTrip(&socket, LogOp::kStat, request_id,
+                                    PathBody("/t")));
+  EXPECT_OK(DecodeReplyBody(ReplyBodyOf(reply)).status());
+  EXPECT_EQ(server->frames_rejected(), 0u);
+  server->Stop();
 }
 
 }  // namespace

@@ -135,10 +135,16 @@ class LogServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fx_ = ServiceFixture::Make();
-    server_ = std::make_unique<LogServer>(fx_.service.get(), &channel_);
+    auto server = LogServer::Create(fx_.service.get(), &channel_);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(server).value();
     server_->Start();
   }
-  void TearDown() override { server_->Stop(); }
+  void TearDown() override {
+    if (server_ != nullptr) {
+      server_->Stop();
+    }
+  }
 
   ServiceFixture fx_;
   IpcChannel channel_;

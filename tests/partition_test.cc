@@ -12,7 +12,6 @@
 #include "src/util/bytes.h"
 #include "src/net/net_client.h"
 #include "src/net/net_server.h"
-#include "src/partition/partition_backend.h"
 #include "src/partition/partition_router.h"
 #include "src/partition/partitioned_service.h"
 #include "tests/test_util.h"
@@ -144,6 +143,43 @@ TEST(PartitionedService, CreateErrors) {
   // Root always exists.
   EXPECT_EQ(fx.service->CreateLogFile("/").status().code(),
             StatusCode::kAlreadyExists);
+}
+
+TEST(PartitionedService, BorrowServesOneVolumeAsOnePartition) {
+  testing::ServiceFixture fx = testing::ServiceFixture::Make();
+  ASSERT_OK(fx.service->CreateLogFile("/a").status());
+  ASSERT_OK(fx.service->CreateLogFile("/a/b").status());
+  ASSERT_OK_AND_ASSIGN(auto single,
+                       PartitionedLogService::Borrow(fx.service.get()));
+  EXPECT_EQ(single->partition_count(), 1u);
+  EXPECT_EQ(single->partition(0), fx.service.get());
+  // The router was rebuilt from the borrowed service's catalog.
+  EXPECT_EQ(single->RouteOf("/a/b"), std::optional<uint32_t>(0));
+  // A log file created on the service behind the wrap's back still
+  // resolves: with one partition every path's home is partition 0.
+  ASSERT_OK(fx.service->CreateLogFile("/late").status());
+  EXPECT_FALSE(single->RouteOf("/late").has_value());
+  EXPECT_EQ(single->HomeOf("/late"), 0u);
+  ASSERT_OK(single->Append("/late", AsBytes("x")).status());
+  ASSERT_OK(single->CreateLogFile("/late/child").status());
+  ASSERT_OK_AND_ASSIGN(PartitionInfoResult info,
+                       single->PartitionInfo("/late/child"));
+  EXPECT_EQ(info.partition, std::optional<uint32_t>(0));
+  // Errors are the LogService's own.
+  Status root = single->CreateLogFile("/").status();
+  EXPECT_EQ(root.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(root.ToString(),
+            fx.service->CreateLogFile("/").status().ToString());
+}
+
+TEST(PartitionedService, BorrowRejectsAPartitionOfALargerDeployment) {
+  auto fx = PartitionedFixture::Make(2);
+  ASSERT_OK(fx.service->CreateLogFile("/far", 0644, 1).status());
+  // Partition 1's catalog records homes of 1: not a lone volume.
+  EXPECT_EQ(PartitionedLogService::Borrow(fx.service->partition(1))
+                .status()
+                .code(),
+            StatusCode::kCorrupt);
 }
 
 TEST(PartitionedService, AncestorsMirrorOntoTheLeafHome) {
@@ -363,7 +399,7 @@ class PartitionedNetTest : public ::testing::Test {
  protected:
   void StartServer(uint32_t partitions, NetLogServerOptions options = {}) {
     fx_ = PartitionedFixture::Make(partitions);
-    auto server = NetLogServer::StartPartitioned(fx_.service.get(), options);
+    auto server = NetLogServer::Start(fx_.service.get(), options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
   }
