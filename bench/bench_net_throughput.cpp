@@ -17,9 +17,16 @@
 // write head is the bottleneck. Horizontal scaling then shows up directly
 // as appends/sec (ISSUE 6 acceptance: 4 partitions >= 2.5x one, p99 <=
 // 1.25x). `--partitions=N` raises the sweep's top cell.
+//
+// `--burn-us=N` sets the per-burn latency (default 500, the device regime).
+// `--burn-us=0` is the software regime: no device cost, so the cells show
+// what the server's own code costs. Any other value than 500 writes its
+// record under a distinct bench name (`net_throughput_sw` for 0) so it is
+// never compared against the 500 us baseline.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -70,7 +77,8 @@ class SlowBurnDevice : public WormDevice {
   const uint64_t burn_us_;
 };
 
-constexpr uint64_t kBurnUs = 500;  // per-block burn latency
+constexpr uint64_t kDefaultBurnUs = 500;
+uint64_t g_burn_us = kDefaultBurnUs;  // per-block burn latency (--burn-us)
 constexpr size_t kPayloadBytes = 64;
 
 // Forced appends per client; CI's fast mode keeps the same code paths but
@@ -108,16 +116,13 @@ CellResult RunCell(int clients, bool batching, uint64_t hold_us,
   options.sequence_id = 0xBE7C5;
   auto service = LogService::Create(
       std::make_unique<SlowBurnDevice>(
-          std::make_unique<MemoryWormDevice>(dev), kBurnUs),
+          std::make_unique<MemoryWormDevice>(dev), g_burn_us),
       &clock, options);
   BENCH_CHECK_OK(service.status());
 
   NetLogServerOptions server_options;
   server_options.batching = batching;
   server_options.batch.max_hold_us = hold_us;
-  // Commit as soon as every connected committer has joined the batch; the
-  // hold window is the fallback when some are mid-round-trip.
-  server_options.batch.max_batch_entries = static_cast<size_t>(clients);
   // Scrub cells run the online scrubber at an aggressive cadence so it
   // actually races the committers during the short measurement window —
   // the overhead measured here is an upper bound on production settings.
@@ -193,7 +198,7 @@ CellResult RunCell(int clients, bool batching, uint64_t hold_us,
 // One partition-sweep cell: `clients` committers spread round-robin over
 // `partitions` volume sequences, each on its own SlowBurnDevice. Payloads
 // near the block size make every append one block burn, so a cell's
-// ceiling is (partitions x 1/kBurnUs) burns per second — the paper's
+// ceiling is (partitions x 1/burn latency) burns per second — the paper's
 // single-head limit, multiplied.
 constexpr size_t kPartitionPayloadBytes = 768;
 
@@ -211,7 +216,7 @@ PartitionCellResult RunPartitionedCell(uint32_t partitions, int clients) {
   std::vector<std::unique_ptr<WormDevice>> devices;
   for (uint32_t p = 0; p < partitions; ++p) {
     devices.push_back(std::make_unique<SlowBurnDevice>(
-        std::make_unique<MemoryWormDevice>(dev), kBurnUs));
+        std::make_unique<MemoryWormDevice>(dev), g_burn_us));
   }
   PartitionedServiceOptions options;
   options.base.cache_blocks = 4096;
@@ -223,9 +228,6 @@ PartitionCellResult RunPartitionedCell(uint32_t partitions, int clients) {
   NetLogServerOptions server_options;
   server_options.batching = true;
   server_options.batch.max_hold_us = 1000;
-  // Commit as soon as every committer pinned to the lane has joined.
-  server_options.batch.max_batch_entries = static_cast<size_t>(
-      std::max(1, clients / static_cast<int>(partitions)));
   auto server =
       NetLogServer::Start(service.value().get(), server_options);
   BENCH_CHECK_OK(server.status());
@@ -298,6 +300,7 @@ int main(int argc, char** argv) {
   using namespace clio::bench;
 
   // --partitions=N: top cell of the partition sweep (default 4).
+  // --burn-us=N: per-block burn latency (default 500).
   uint32_t max_partitions = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--partitions=", 13) == 0) {
@@ -307,6 +310,14 @@ int main(int argc, char** argv) {
         return 1;
       }
       max_partitions = static_cast<uint32_t>(value);
+    } else if (std::strncmp(argv[i], "--burn-us=", 10) == 0) {
+      char* end = nullptr;
+      const long long value = std::strtoll(argv[i] + 10, &end, 10);
+      if (end == argv[i] + 10 || *end != '\0' || value < 0) {
+        std::fprintf(stderr, "bad --burn-us value: %s\n", argv[i]);
+        return 1;
+      }
+      g_burn_us = static_cast<uint64_t>(value);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 1;
@@ -317,7 +328,7 @@ int main(int argc, char** argv) {
   std::printf("(loopback TCP, %d forced %zu-byte appends per client, "
               "%llu us per block burn)\n\n",
               AppendsPerClient(), kPayloadBytes,
-              static_cast<unsigned long long>(kBurnUs));
+              static_cast<unsigned long long>(g_burn_us));
   std::printf("%8s  %12s  %10s  %10s  %10s  %10s\n", "clients", "batch",
               "appends/s", "p50 (us)", "p99 (us)", "mean batch");
 
@@ -344,7 +355,14 @@ int main(int argc, char** argv) {
                                             {"hold 4000us", "hold4000us",
                                              true, 4000}};
 
-  BenchReport report("net_throughput");
+  // Only the default regime is comparable with the checked-in baseline.
+  std::string bench_name = "net_throughput";
+  if (g_burn_us == 0) {
+    bench_name += "_sw";
+  } else if (g_burn_us != kDefaultBurnUs) {
+    bench_name += "_burn" + std::to_string(g_burn_us) + "us";
+  }
+  BenchReport report(bench_name);
   double unbatched_8 = 0;
   double best_batched_8 = 0;
   for (int clients : client_counts) {
@@ -537,7 +555,7 @@ int main(int argc, char** argv) {
       dir = env;
     }
   }
-  std::string trace_path = dir + "/TRACE_net_throughput.json";
+  std::string trace_path = dir + "/TRACE_" + bench_name + ".json";
   clio::TraceDump dump = clio::FlightRecorder::Instance().Collect();
   std::string trace_json = clio::TraceDumpToChromeJson(dump);
   if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {

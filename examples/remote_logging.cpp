@@ -37,8 +37,8 @@ int main() {
       std::make_unique<MemoryWormDevice>(device_options), &clock, {});
   CHECK_OK(service.status());
 
-  // Bind an ephemeral loopback port; hold forced appends up to 1 ms so
-  // concurrent writers land in a shared commit.
+  // Bind an ephemeral loopback port. Concurrent writers' forced appends
+  // land in a shared commit; a batch waits at most 1 ms for a writer.
   NetLogServerOptions server_options;
   server_options.batch.max_hold_us = 1000;
   auto server = NetLogServer::Start(service.value().get(), server_options);

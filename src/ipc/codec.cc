@@ -442,8 +442,8 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
           std::string(kReservedSystemRoot) +
           " is service-owned); appends are server-internal only"));
     }
-    // The batcher's commit thread has no access to this thread's trace
-    // context; the request carries it over the hop.
+    // A group-commit batch is staged on its leader's thread, which may be
+    // another session's; the request carries its trace context over.
     request->trace_id = CurrentTraceId();
     WriteOptions options;
     options.timestamped = request->timestamped;

@@ -193,8 +193,8 @@ struct AppendRequest {
   uint64_t request_seq = 0;
   Bytes payload;
   // Not on the wire (the frame header carries it): the dispatcher copies
-  // its thread's trace context here so an append handed to the batcher's
-  // commit thread keeps its trace across the thread hop.
+  // its thread's trace context here so an append staged by another
+  // session's thread (a group-commit batch leader) keeps its trace.
   uint64_t trace_id = 0;
 };
 Bytes EncodeAppendRequest(std::string_view path,

@@ -5,7 +5,7 @@
 // request carries a 64-bit trace ID (stamped by NetLogClient, propagated
 // in the v2 frame header — src/net/frame.h), and each stage the request
 // passes through records a span: session body read, dispatch, group-commit
-// batch wait, the commit thread's staging append, the covering force, the
+// batch wait, the batch leader's staging append, the covering force, the
 // volume-writer append, and the physical device burn. A dump of the
 // recorder reconstructs the timeline of any recent request — you can see
 // whether a slow append spent its time waiting in the batch, in Force, or
@@ -57,7 +57,7 @@ enum class TraceStage : uint8_t {
   kSessionRead = 1,    // session thread reading the request body
   kDispatch = 2,       // decode + execute + encode of one request
   kBatchWait = 3,      // blocked in GroupCommitBatcher::Append
-  kBatchAppend = 4,    // commit thread staging this entry into the log
+  kBatchAppend = 4,    // batch leader staging this entry into the log
   kForce = 5,          // device force covering this request
   kVolumeAppend = 6,   // LogVolumeWriter::Append
   kBurn = 7,           // WormDevice::AppendBlock (physical block burn)

@@ -3,11 +3,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/net/batcher.h"
 #include "src/obs/trace.h"
 #include "tests/test_util.h"
 
@@ -341,6 +343,71 @@ TEST(TraceStageNameTest, CoversEveryStage) {
   EXPECT_FALSE(names.contains("unknown"));
   EXPECT_EQ(TraceStageName(static_cast<TraceStage>(250)), "unknown");
   EXPECT_EQ(TraceStageName(TraceStage::kUnknown), "unknown");
+}
+
+// A group-commit batch is staged and forced on its leader's thread, which
+// carries the leader's own trace. Every traced member must see the shared
+// force exactly once: the batcher's explicit kForce record, and no second,
+// context-driven span from the volume writer under the leader's id.
+TEST(BatchTraceAttribution, SharedForceIsChargedOncePerMember) {
+  testing::ServiceFixture fx = testing::ServiceFixture::Make();
+  ASSERT_OK(fx.service->CreateLogFile("/batched").status());
+  GroupCommitOptions options;
+  options.max_hold_us = 2'000'000;  // upper bound only; never waited out
+  GroupCommitBatcher batcher(fx.service.get(), &fx.service->mutex(), options,
+                             /*workers=*/8);
+  auto request = [](uint64_t client_id, uint64_t trace_id) {
+    AppendRequest r;
+    r.path = "/batched";
+    r.timestamped = true;
+    r.force = true;
+    r.client_id = client_id;
+    r.payload = ToBytes("entry");
+    r.trace_id = trace_id;
+    return r;
+  };
+  auto& recorder = FlightRecorder::Instance();
+  // One attempt: `leader_client` commits alone (nobody else is active),
+  // which makes it an active committer; a second client's append then
+  // waits for it, and the leader's next append closes a batch of two on
+  // the leader's thread. An attempt whose follower was not yet queued
+  // commits two batches of one instead and is retried.
+  bool batched = false;
+  uint64_t leader_trace = 0, follower_trace = 0;
+  for (int attempt = 0; attempt < 5 && !batched; ++attempt) {
+    const uint64_t leader_client = 100 + 2 * attempt;
+    leader_trace = kIdBase + 200 + 2 * attempt;
+    follower_trace = leader_trace + 1;
+    ASSERT_OK(batcher.Append(request(leader_client, 0)).status());
+    const uint64_t batches_before = batcher.batches_committed();
+    std::thread follower([&] {
+      AppendRequest r = request(leader_client + 1, follower_trace);
+      ScopedTraceContext trace(follower_trace);
+      EXPECT_OK(batcher.Append(r).status());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50 * (attempt + 1)));
+    {
+      AppendRequest r = request(leader_client, leader_trace);
+      ScopedTraceContext trace(leader_trace);
+      ASSERT_OK(batcher.Append(r).status());
+    }
+    follower.join();
+    batched = batcher.batches_committed() == batches_before + 1;
+  }
+  ASSERT_TRUE(batched) << "no batch of two formed";
+
+  TraceDump dump = recorder.Collect();
+  for (uint64_t id : {leader_trace, follower_trace}) {
+    int forces = 0, stages = 0;
+    for (const TraceSpan& span : dump.spans) {
+      if (span.trace_id == id) {
+        forces += span.stage == TraceStage::kForce;
+        stages += span.stage == TraceStage::kBatchAppend;
+      }
+    }
+    EXPECT_EQ(forces, 1) << "trace " << id;
+    EXPECT_EQ(stages, 1) << "trace " << id;
+  }
 }
 
 }  // namespace
