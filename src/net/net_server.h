@@ -131,6 +131,8 @@ class NetLogServer {
   uint64_t frames_dispatched() const { return frames_dispatched_.load(); }
   uint64_t frames_rejected() const { return frames_rejected_.load(); }
   size_t lane_count() const { return lanes_.size(); }
+  // Threads that execute requests; appends block one each in a batcher.
+  size_t worker_count() const { return worker_threads_.size(); }
   // Lane 0's instances (the only lane when serving one volume).
   const GroupCommitBatcher* batcher() const { return batcher(0); }
   const AppendDedupIndex* dedup() const { return dedup(0); }
@@ -185,7 +187,11 @@ class NetLogServer {
   // Builds the connection's dispatcher: appends go to RouteAppend, reads
   // fan out through the service, kReadBatch replies are zero-copy.
   void SetUpDispatcher(Conn* conn);
-  Result<AppendResult> RouteAppend(const AppendRequest& request);
+  // Routes one decoded append from `conn`'s session to its lane.
+  Result<AppendResult> RouteAppend(Conn* conn, const AppendRequest& request);
+  // Records that `conn`'s session now commits through `batcher` under
+  // `client_id` (null: commits nowhere), leaving the batcher it was on.
+  void NoteCommit(Conn* conn, GroupCommitBatcher* batcher, uint64_t client_id);
   Result<AppendResult> ExecuteAppend(AppendLane& lane,
                                      const AppendRequest& request);
   Status ForceLane(AppendLane& lane);
