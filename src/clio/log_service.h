@@ -187,7 +187,7 @@ class LogService {
   //    index, staged tail) to subsequent shared holders.
   //
   // Multi-threaded frontends (the src/net/ session dispatcher and its
-  // group-commit batcher, the src/ipc/ dispatcher) take the matching lock
+  // group-commit batcher) take the matching lock
   // mode around each call AND around every use of a LogReader obtained
   // from the service. Single-threaded users (tests, benches) may ignore
   // the lock entirely. Debug builds assert the single-mutator invariant on

@@ -7,36 +7,6 @@
 namespace clio {
 namespace {
 
-// Shared by kStat's reply encoder and decoder.
-Bytes EncodeLogFileInfo(const LogFileInfo& info) {
-  Bytes payload;
-  ByteWriter w(&payload);
-  w.PutU16(info.id);
-  w.PutU64(info.unique_id);
-  w.PutU16(info.parent);
-  w.PutU32(info.permissions);
-  w.PutI64(info.created_at);
-  w.PutU8(info.sealed ? 1 : 0);
-  w.PutString(info.name);
-  return payload;
-}
-
-Result<LogFileInfo> DecodeLogFileInfo(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  LogFileInfo info;
-  info.id = r.GetU16();
-  info.unique_id = r.GetU64();
-  info.parent = r.GetU16();
-  info.permissions = r.GetU32();
-  info.created_at = r.GetI64();
-  info.sealed = r.GetU8() != 0;
-  info.name = r.GetString();
-  if (r.failed()) {
-    return Corrupt("malformed stat reply");
-  }
-  return info;
-}
-
 // Soft cap on one kReadBatch reply's payload bytes, comfortably under the
 // net transport's 16 MiB frame-body limit.
 constexpr size_t kReadBatchByteBudget = 4 << 20;
@@ -191,6 +161,35 @@ Result<Bytes> DecodeReplyBody(std::span<const std::byte> body) {
   }
   auto rest = r.GetBytes(r.remaining());
   return Bytes(rest.begin(), rest.end());
+}
+
+Bytes EncodeLogFileInfo(const LogFileInfo& info) {
+  Bytes payload;
+  ByteWriter w(&payload);
+  w.PutU16(info.id);
+  w.PutU64(info.unique_id);
+  w.PutU16(info.parent);
+  w.PutU32(info.permissions);
+  w.PutI64(info.created_at);
+  w.PutU8(info.sealed ? 1 : 0);
+  w.PutString(info.name);
+  return payload;
+}
+
+Result<LogFileInfo> DecodeLogFileInfo(std::span<const std::byte> payload) {
+  ByteReader r(payload);
+  LogFileInfo info;
+  info.id = r.GetU16();
+  info.unique_id = r.GetU64();
+  info.parent = r.GetU16();
+  info.permissions = r.GetU32();
+  info.created_at = r.GetI64();
+  info.sealed = r.GetU8() != 0;
+  info.name = r.GetString();
+  if (r.failed()) {
+    return Corrupt("malformed stat reply");
+  }
+  return info;
 }
 
 namespace {
@@ -373,7 +372,8 @@ Result<AppendRequest> DecodeAppendRequest(std::span<const std::byte> body) {
 // ---------------------------------------------------------------------------
 // ServiceDispatcher
 
-Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
+WireMessage ServiceDispatcher::Dispatch(LogOp op,
+                                        std::span<const std::byte> body) {
   // Counted before execution so a kStats request is visible in its own
   // reply; timed across decode + execute + encode.
   RequestCounter(op)->Increment();
@@ -383,7 +383,16 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
   ScopedTimer op_timer(OpClassHistogram(op));
   TraceSpanTimer dispatch_span(TraceStage::kDispatch);
   SlowRequestProbe slow_probe(op);
+  WireMessage reply;
+  if (op == LogOp::kReadBatch) {
+    ReadBatch(body, &reply);
+  } else {
+    reply.AddOwned(Execute(op, body));
+  }
+  return reply;
+}
 
+Bytes ServiceDispatcher::Execute(LogOp op, std::span<const std::byte> body) {
   // kStats reads only the (internally synchronized) metrics registry, so
   // it never takes the service mutex — a monitoring poller cannot stall
   // behind a slow force, and vice versa. Process gauges refresh first so
@@ -396,16 +405,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
   // kHealth also stays off the service mutex: a wedged service is
   // precisely the state it exists to report.
   if (op == LogOp::kHealth) {
-    HealthReport report;
-    if (health_fn_) {
-      report = health_fn_();
-    } else {
-      UpdateProcessGauges();
-      report = EvaluateHealth(ObsRegistry().Snapshot(), nullptr, 0,
-                              SloRules::Defaults());
-      report.exemplars = SlowRequestRing::Instance().Snapshot(16);
-    }
-    return EncodeOkReplyBody(EncodeHealthReport(report));
+    return EncodeOkReplyBody(EncodeHealthReport(health_fn_()));
   }
 
   // kTraceDump likewise touches only the flight recorder (lock-free to
@@ -445,12 +445,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     // A group-commit batch is staged on its leader's thread, which may be
     // another session's; the request carries its trace context over.
     request->trace_id = CurrentTraceId();
-    WriteOptions options;
-    options.timestamped = request->timestamped;
-    options.force = request->force;
-    Result<AppendResult> result =
-        append_fn_ ? append_fn_(*request)
-                   : service_->Append(request->path, request->payload, options);
+    Result<AppendResult> result = append_fn_(*request);
     if (!result.ok()) {
       return EncodeErrorReplyBody(result.status());
     }
@@ -517,6 +512,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     case LogOp::kStats:
     case LogOp::kTraceDump:
     case LogOp::kHealth:
+    case LogOp::kReadBatch:  // Dispatch serves it as a scatter reply
       break;  // handled above
     case LogOp::kPartitionInfo: {
       std::string path = r.GetString();
@@ -545,9 +541,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
         return EncodeErrorReplyBody(reader.status());
       }
       uint64_t handle = next_handle_++;
-      if (zero_copy_) {
-        reader.value()->set_zero_copy(true);
-      }
+      reader.value()->set_zero_copy(true);
       readers_[handle] = std::move(reader).value();
       Bytes payload;
       ByteWriter w(&payload);
@@ -579,8 +573,6 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
       }
       return EncodeOkReplyBody(EncodeEntryRecord(record.value()));
     }
-    case LogOp::kReadBatch:
-      return ReadBatch(body, /*scatter=*/nullptr);
     case LogOp::kSeekToTime: {
       uint64_t handle = r.GetU64();
       Timestamp t = r.GetI64();
@@ -646,17 +638,20 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
   return EncodeErrorReplyBody(Unimplemented("unknown log server op"));
 }
 
-Bytes ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
-                                   WireMessage* scatter) {
+void ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
+                                  WireMessage* out) {
   ByteReader r(body);
   uint64_t handle = r.GetU64();
   uint32_t max_entries = r.GetU32();
   if (r.failed() || max_entries == 0) {
-    return EncodeErrorReplyBody(InvalidArgument("malformed batch read"));
+    out->AddOwned(
+        EncodeErrorReplyBody(InvalidArgument("malformed batch read")));
+    return;
   }
   auto it = readers_.find(handle);
   if (it == readers_.end()) {
-    return EncodeErrorReplyBody(NotFound("no such reader handle"));
+    out->AddOwned(EncodeErrorReplyBody(NotFound("no such reader handle")));
+    return;
   }
   max_entries = std::min(max_entries, kReadBatchMaxEntries);
   std::vector<LogEntryRecord> records;
@@ -669,7 +664,8 @@ Bytes ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
       // error only if nothing did. The reader is positioned after the
       // prefix, so the client's next call surfaces the error itself.
       if (records.empty()) {
-        return EncodeErrorReplyBody(record.status());
+        out->AddOwned(EncodeErrorReplyBody(record.status()));
+        return;
       }
       break;
     }
@@ -680,238 +676,7 @@ Bytes ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
     bytes += record.value()->payload_size() + 16;
     records.push_back(std::move(*record.value()));
   }
-  if (scatter != nullptr) {
-    EncodeEntryBatchReplyTo(records, at_end, scatter);
-    return {};
-  }
-  return EncodeOkReplyBody(EncodeEntryBatch(records, at_end));
-}
-
-WireMessage ServiceDispatcher::DispatchScatter(LogOp op,
-                                               std::span<const std::byte> body) {
-  WireMessage msg;
-  if (!zero_copy_ || op != LogOp::kReadBatch) {
-    msg.AddOwned(Dispatch(op, body));
-    return msg;
-  }
-  // Mirror Dispatch's accounting so the two entry points are
-  // indistinguishable in metrics and traces.
-  RequestCounter(op)->Increment();
-  static Histogram* request_us =
-      ObsRegistry().histogram("clio.rpc.request_us");
-  ScopedTimer timer(request_us);
-  ScopedTimer op_timer(OpClassHistogram(op));
-  TraceSpanTimer dispatch_span(TraceStage::kDispatch);
-  SlowRequestProbe slow_probe(op);
-  Bytes flat = ReadBatch(body, &msg);
-  if (msg.empty()) {
-    msg.AddOwned(std::move(flat));  // the error-reply paths stay flat
-  }
-  return msg;
-}
-
-// ---------------------------------------------------------------------------
-// LogClientBase
-
-Result<LogFileId> LogClientBase::CreateLogFile(std::string_view path,
-                                               uint32_t permissions) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutString(path);
-  w.PutU32(permissions);
-  CLIO_ASSIGN_OR_RETURN(Bytes payload, Call(LogOp::kCreateLogFile, body));
-  ByteReader r(payload);
-  return static_cast<LogFileId>(r.GetU16());
-}
-
-Result<LogFileId> LogClientBase::CreateLogFilePlaced(std::string_view path,
-                                                     uint32_t permissions,
-                                                     uint32_t partition) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutString(path);
-  w.PutU32(permissions);
-  w.PutU32(partition);
-  CLIO_ASSIGN_OR_RETURN(Bytes payload, Call(LogOp::kCreateLogFile, body));
-  ByteReader r(payload);
-  return static_cast<LogFileId>(r.GetU16());
-}
-
-Result<PartitionInfoResult> LogClientBase::GetPartitionInfo(
-    std::string_view path) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutString(path);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kPartitionInfo, body));
-  ByteReader r(reply);
-  PartitionInfoResult info;
-  info.partition_count = r.GetU32();
-  bool has_route = r.GetU8() != 0;
-  uint32_t partition = r.GetU32();
-  if (r.failed()) {
-    return Corrupt("malformed partition info reply");
-  }
-  if (has_route) {
-    info.partition = partition;
-  }
-  return info;
-}
-
-Result<Timestamp> LogClientBase::Append(std::string_view path,
-                                        std::span<const std::byte> payload,
-                                        bool timestamped, bool force) {
-  auto [client_id, request_seq] = NextAppendStamp();
-  CLIO_ASSIGN_OR_RETURN(
-      Bytes reply,
-      Call(LogOp::kAppend, EncodeAppendRequest(path, payload, timestamped,
-                                               force, client_id, request_seq)));
-  ByteReader r(reply);
-  return r.GetI64();
-}
-
-Result<uint64_t> LogClientBase::OpenReader(std::string_view path) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutString(path);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kOpenReader, body));
-  ByteReader r(reply);
-  return r.GetU64();
-}
-
-Status LogClientBase::CloseReader(uint64_t handle) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(handle);
-  return Call(LogOp::kCloseReader, body).status();
-}
-
-Result<std::optional<RemoteEntry>> LogClientBase::ReadNext(uint64_t handle) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(handle);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kReadNext, body));
-  return DecodeEntryRecord(reply);
-}
-
-Result<std::optional<RemoteEntry>> LogClientBase::ReadPrev(uint64_t handle) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(handle);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kReadPrev, body));
-  return DecodeEntryRecord(reply);
-}
-
-Result<EntryBatch> LogClientBase::ReadNextBatch(uint64_t handle,
-                                                uint32_t max_entries) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(handle);
-  w.PutU32(max_entries);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kReadBatch, body));
-  return DecodeEntryBatch(reply);
-}
-
-Result<std::optional<RemoteEntry>> BatchedReader::Next() {
-  if (pos_ >= buffer_.size()) {
-    if (at_end_) {
-      // The server already said end-of-log: report it without another
-      // round trip, but re-poll on the NEXT call (a tailing reader may
-      // find fresh entries then).
-      at_end_ = false;
-      return std::optional<RemoteEntry>(std::nullopt);
-    }
-    CLIO_ASSIGN_OR_RETURN(EntryBatch batch,
-                          client_->ReadNextBatch(handle_, batch_size_));
-    buffer_ = std::move(batch.entries);
-    pos_ = 0;
-    at_end_ = batch.at_end;
-    if (buffer_.empty()) {
-      at_end_ = false;
-      return std::optional<RemoteEntry>(std::nullopt);
-    }
-  }
-  return std::optional<RemoteEntry>(std::move(buffer_[pos_++]));
-}
-
-Status LogClientBase::SeekToTime(uint64_t handle, Timestamp t) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(handle);
-  w.PutI64(t);
-  return Call(LogOp::kSeekToTime, body).status();
-}
-
-Status LogClientBase::SeekToStart(uint64_t handle) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(handle);
-  return Call(LogOp::kSeekToStart, body).status();
-}
-
-Status LogClientBase::SeekToEnd(uint64_t handle) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(handle);
-  return Call(LogOp::kSeekToEnd, body).status();
-}
-
-Result<LogFileInfo> LogClientBase::Stat(std::string_view path) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutString(path);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kStat, body));
-  return DecodeLogFileInfo(reply);
-}
-
-Status LogClientBase::Force() { return Call(LogOp::kForce, {}).status(); }
-
-Result<ChainProof> LogClientBase::FetchChainProof(std::string_view path,
-                                                  Timestamp t) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutString(path);
-  w.PutI64(t);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kVerifyChain, body));
-  ByteReader r(reply);
-  return ChainProof::DecodeFrom(r);
-}
-
-Result<RemoteEntry> LogClientBase::VerifyEntry(std::string_view path,
-                                               Timestamp t) {
-  CLIO_ASSIGN_OR_RETURN(ChainProof proof, FetchChainProof(path, t));
-  CLIO_ASSIGN_OR_RETURN(ParsedEntry entry, proof.Verify());
-  // The proof binds the record to the chain; this binds the record to the
-  // question asked. A server pointing the proof at some OTHER (genuine)
-  // entry fails here.
-  if (!entry.timestamp.has_value() || *entry.timestamp != t) {
-    return Corrupt("proven entry does not carry the requested timestamp");
-  }
-  RemoteEntry out;
-  out.logfile_id = entry.logfile_id;
-  out.timestamp = *entry.timestamp;
-  out.timestamp_exact = true;
-  out.payload.assign(entry.payload.begin(), entry.payload.end());
-  return out;
-}
-
-Result<StatsSnapshot> LogClientBase::GetStats() {
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kStats, {}));
-  return DecodeStatsSnapshot(reply);
-}
-
-Result<HealthReport> LogClientBase::GetHealth() {
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kHealth, {}));
-  return DecodeHealthReport(reply);
-}
-
-Result<TraceDump> LogClientBase::DumpTraces(uint64_t min_total_us,
-                                            uint32_t max_spans) {
-  Bytes body;
-  ByteWriter w(&body);
-  w.PutU64(min_total_us);
-  w.PutU32(max_spans);
-  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kTraceDump, body));
-  return DecodeTraceDump(reply);
+  EncodeEntryBatchReplyTo(records, at_end, out);
 }
 
 }  // namespace clio

@@ -1,16 +1,14 @@
-// Wire codec shared by every log-service transport.
+// Wire codec of the log service: the request/reply bodies that travel
+// inside the TCP frames of src/net/ (see src/net/frame.h), plus the
+// server-side half built on them:
 //
-// The synchronous IPC server (src/ipc/log_server.*) and the TCP network
-// server (src/net/*) speak the same request/reply bodies. This header is
-// the single definition of that encoding, plus the two transport-neutral
-// halves built on it:
-//
-//  - ServiceDispatcher: the server side. Decodes one request body,
-//    executes it against a PartitionedLogService (a single volume is its
-//    one-partition form), encodes the reply body. One instance per client
+//  - ServiceDispatcher: decodes one request body, executes it against a
+//    PartitionedLogService (a single volume is its one-partition form),
+//    and encodes the reply as a WireMessage. One instance per client
 //    session (it owns that session's reader table).
-//  - LogClientBase: the client side. All typed stub methods, over an
-//    abstract Call(op, body) the transport implements.
+//
+// The typed client stub over these bodies is NetLogClient
+// (src/net/net_client.h).
 //
 // Reply bodies carry: u8 status code, u16-length-prefixed message string,
 // then an op-specific payload.
@@ -58,7 +56,7 @@ enum class LogOp : uint32_t {
   // Batched forward read: up to `max_entries` consecutive entries of one
   // reader handle in a single round trip (request: u64 handle, u32
   // max_entries; reply payload = entry batch). Amortizes framing and
-  // syscalls for tail scans; see LogClientBase::ReadNextBatch.
+  // syscalls for tail scans; see NetLogClient::ReadNextBatch.
   kReadBatch = 13,
   // Dump of the server's flight recorder (src/obs/trace.h). Request: u64
   // min_total_us (slow-request filter; 0 = everything), u32 max_spans
@@ -76,7 +74,7 @@ enum class LogOp : uint32_t {
   // volume hash chain, without the client reading the volume. Request:
   // string path, i64 timestamp. Reply payload = ChainProof::EncodeTo. The
   // client verifies with ChainProof::Verify (see
-  // LogClientBase::VerifyEntry); kFailedPrecondition on unchained (v1)
+  // NetLogClient::VerifyEntry); kFailedPrecondition on unchained (v1)
   // volumes, kCorrupt when the server detects a broken chain while
   // building the proof.
   kVerifyChain = 16,
@@ -139,8 +137,7 @@ class WireMessage {
   void AddBorrowed(PayloadSegment segment);
 
   // Contiguous form, byte-identical to what a flat encoder would have
-  // produced. Fallback for transports without scatter I/O and for A/B
-  // equivalence tests.
+  // produced. For tests comparing a reply against a reference encoding.
   Bytes Flatten() const;
 
  private:
@@ -148,6 +145,10 @@ class WireMessage {
   size_t total_bytes_ = 0;
   size_t borrowed_bytes_ = 0;
 };
+
+// -- Log file attributes (the reply payload of kStat). --
+Bytes EncodeLogFileInfo(const LogFileInfo& info);
+Result<LogFileInfo> DecodeLogFileInfo(std::span<const std::byte> payload);
 
 // -- Entry records (the reply payload of kReadNext / kReadPrev). --
 Bytes EncodeEntryRecord(const std::optional<LogEntryRecord>& record);
@@ -183,8 +184,8 @@ void EncodeEntryBatchReplyTo(const std::vector<LogEntryRecord>& records,
 // appends: a client that retransmits an append after a lost reply reuses
 // the stamp, and a server keeping a dedup window acknowledges the
 // retransmit with the original result instead of logging the entry twice.
-// A zero client_id means "unstamped" (no retry dedup; the IPC transport
-// and old-style callers use this).
+// A zero client_id means "unstamped" (no retry dedup); NetLogClient
+// always stamps, so only hand-built requests are unstamped.
 struct AppendRequest {
   std::string path;
   bool timestamped = false;
@@ -204,7 +205,7 @@ Bytes EncodeAppendRequest(std::string_view path,
 Result<AppendRequest> DecodeAppendRequest(std::span<const std::byte> body);
 
 // "No explicit placement" sentinel in a kCreateLogFile body's trailing
-// placement field (see LogClientBase::CreateLogFilePlaced).
+// placement field (see NetLogClient::CreateLogFilePlaced).
 constexpr uint32_t kNoPartitionPlacement = 0xFFFFFFFFu;
 
 // Executes decoded requests against a PartitionedLogService and encodes
@@ -216,149 +217,40 @@ constexpr uint32_t kNoPartitionPlacement = 0xFFFFFFFFu;
 // reads, EXCLUSIVE for mutations (LogService::mutex()). kCloseReader
 // touches only the session-local reader table; kStats reads only the
 // internally synchronized metrics registry; kTraceDump only the flight
-// recorder. kAppend can be redirected through `append_fn` — the net
-// server's dedup + group-commit hook. The override must arrange its own
-// locking.
+// recorder. kAppend runs through `append_fn` — the net server's dedup +
+// group-commit hook — which must arrange its own locking.
 class ServiceDispatcher {
  public:
   using AppendFn =
       std::function<Result<AppendResult>(const AppendRequest& request)>;
   using HealthFn = std::function<HealthReport()>;
 
-  // `service` must outlive the dispatcher.
-  explicit ServiceDispatcher(PartitionedLogService* service,
-                             AppendFn append_fn = {})
-      : service_(service), append_fn_(std::move(append_fn)) {}
+  // `service` must outlive the dispatcher. `append_fn` executes every
+  // kAppend; `health_fn` answers kHealth (the server's windowed evaluator:
+  // sampler snapshots + configured rules). Both must be callable.
+  ServiceDispatcher(PartitionedLogService* service, AppendFn append_fn,
+                    HealthFn health_fn)
+      : service_(service),
+        append_fn_(std::move(append_fn)),
+        health_fn_(std::move(health_fn)) {}
 
-  // Zero-copy reply mode (the event-loop server's default): readers opened
-  // after this collect PayloadSegments, and DispatchScatter returns
-  // kReadBatch replies as scatter lists over the pinned block images. Set
-  // once at session setup, before any requests.
-  void set_zero_copy(bool on) { zero_copy_ = on; }
-
-  // kHealth handler override. Servers install their windowed evaluator
-  // (sampler snapshots + configured rules); without one the dispatcher
-  // falls back to EvaluateHealth over the process registry with the
-  // default rules, so an IPC-only service still answers health checks.
-  void set_health_fn(HealthFn fn) { health_fn_ = std::move(fn); }
-
-  // Executes one request and returns the encoded reply body.
-  Bytes Dispatch(LogOp op, std::span<const std::byte> body);
-
-  // Scatter-aware Dispatch: identical semantics and (after Flatten())
-  // identical bytes, but in zero-copy mode a kReadBatch reply keeps entry
-  // payloads as borrowed slices. Every other op degenerates to one owned
-  // slice.
-  WireMessage DispatchScatter(LogOp op, std::span<const std::byte> body);
+  // Executes one request and returns the reply body. Readers are opened
+  // zero-copy, so a kReadBatch reply keeps entry payloads as borrowed
+  // slices over the pinned block images; every other reply is one owned
+  // slice. Flatten() gives the contiguous body.
+  WireMessage Dispatch(LogOp op, std::span<const std::byte> body);
 
  private:
-  // The kReadBatch handler, shared by both dispatch forms. With `scatter`
-  // non-null the reply goes there (return value empty); otherwise returns
-  // the flat reply body.
-  Bytes ReadBatch(std::span<const std::byte> body, WireMessage* scatter);
+  // Every op but kReadBatch: the flat reply body.
+  Bytes Execute(LogOp op, std::span<const std::byte> body);
+  // The kReadBatch handler; appends the (scatter) reply to `out`.
+  void ReadBatch(std::span<const std::byte> body, WireMessage* out);
 
   PartitionedLogService* service_;
   AppendFn append_fn_;
   HealthFn health_fn_;
   std::map<uint64_t, std::unique_ptr<PartitionedLogReader>> readers_;
   uint64_t next_handle_ = 1;
-  bool zero_copy_ = false;
-};
-
-// Typed client stub; transports supply Call(). The reader-facing methods
-// are virtual so a transport that virtualizes reader handles (the TCP
-// client re-establishes readers across reconnects) can interpose; the
-// base implementations are plain one-shot round trips.
-class LogClientBase {
- public:
-  virtual ~LogClientBase() = default;
-
-  Result<LogFileId> CreateLogFile(std::string_view path,
-                                  uint32_t permissions = 0644);
-  // CreateLogFile with an explicit home partition (tests pinning placement
-  // on a partitioned server; see src/partition/). The placement rides as a
-  // trailing field old servers ignore; a server rejects placements outside
-  // its partition range (a single volume accepts only 0).
-  Result<LogFileId> CreateLogFilePlaced(std::string_view path,
-                                        uint32_t permissions,
-                                        uint32_t partition);
-  // Partition topology (kPartitionInfo): how many partitions the server
-  // runs, and — when `path` is nonempty — which one owns that log file.
-  Result<PartitionInfoResult> GetPartitionInfo(std::string_view path = "");
-  // Returns the server-assigned timestamp (the entry's unique id for
-  // synchronous writers, §2.1).
-  Result<Timestamp> Append(std::string_view path,
-                           std::span<const std::byte> payload,
-                           bool timestamped = false, bool force = false);
-  virtual Result<uint64_t> OpenReader(std::string_view path);
-  virtual Status CloseReader(uint64_t handle);
-  virtual Result<std::optional<RemoteEntry>> ReadNext(uint64_t handle);
-  virtual Result<std::optional<RemoteEntry>> ReadPrev(uint64_t handle);
-  // Up to `max_entries` consecutive entries in one round trip (kReadBatch).
-  // Prefer iterating via BatchedReader, which refills transparently.
-  virtual Result<EntryBatch> ReadNextBatch(uint64_t handle,
-                                           uint32_t max_entries);
-  virtual Status SeekToTime(uint64_t handle, Timestamp t);
-  virtual Status SeekToStart(uint64_t handle);
-  virtual Status SeekToEnd(uint64_t handle);
-  Result<LogFileInfo> Stat(std::string_view path);
-  Status Force();
-  // Raw inclusion proof for the entry of `path` with exact timestamp `t`
-  // (kVerifyChain), undecoded beyond framing. Most callers want
-  // VerifyEntry below, which also checks the proof.
-  Result<ChainProof> FetchChainProof(std::string_view path, Timestamp t);
-  // Fetches the proof AND verifies it client-side (ChainProof::Verify):
-  // recomputes the record hash, reassembles the block commit, and links to
-  // the head tag — then cross-checks that the proven entry really carries
-  // timestamp `t`. Returns the proven entry; kCorrupt if the proof does
-  // not hold up (a tampered volume, or a server lying about the entry).
-  Result<RemoteEntry> VerifyEntry(std::string_view path, Timestamp t);
-  // Fetches the server's metrics snapshot (counters, gauges, latency
-  // histograms) via the kStats op.
-  Result<StatsSnapshot> GetStats();
-  // Fetches recent spans from the server's flight recorder (kTraceDump).
-  // `min_total_us` > 0 keeps only requests at least that slow end to end;
-  // `max_spans` > 0 bounds the reply (newest spans win), 0 accepts the
-  // server's default budget.
-  Result<TraceDump> DumpTraces(uint64_t min_total_us = 0,
-                               uint32_t max_spans = 0);
-  // Fetches the server's SLO health report (kHealth): overall state,
-  // breach reasons, and slow-request trace-id exemplars.
-  Result<HealthReport> GetHealth();
-
- protected:
-  // One request/reply round trip; returns the reply payload or the error
-  // status the server (or the transport) produced.
-  virtual Result<Bytes> Call(LogOp op, const Bytes& body) = 0;
-
-  // The idempotency stamp Append() attaches to its request. The default
-  // (0, 0) marks the append unstamped; transports with retransmission
-  // override this with a stable client id and a fresh sequence per append.
-  virtual std::pair<uint64_t, uint64_t> NextAppendStamp() { return {0, 0}; }
-};
-
-// Pull-style forward iterator over a reader handle, fetching kReadBatch
-// batches of `batch_size` entries and draining them locally: a 10k-entry
-// tail scan costs ~10k/batch_size round trips instead of 10k. Safe for
-// tailing: after the server reports end-of-log, the next Next() past the
-// drained buffer returns nullopt once without an extra RPC, and the call
-// after that re-polls the server for newly appended entries.
-class BatchedReader {
- public:
-  BatchedReader(LogClientBase* client, uint64_t handle,
-                uint32_t batch_size = 32)
-      : client_(client), handle_(handle), batch_size_(batch_size) {}
-
-  // The next entry, or nullopt at (the current) end of the log.
-  Result<std::optional<RemoteEntry>> Next();
-
- private:
-  LogClientBase* client_;
-  uint64_t handle_;
-  uint32_t batch_size_;
-  std::vector<RemoteEntry> buffer_;
-  size_t pos_ = 0;
-  bool at_end_ = false;  // last refill hit end-of-log
 };
 
 }  // namespace clio

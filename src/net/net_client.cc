@@ -34,6 +34,40 @@ uint64_t GenerateClientId() {
   return id == 0 ? 1 : id;
 }
 
+Bytes PathBody(std::string_view path) {
+  Bytes body;
+  // Sized up front; without it gcc 12 misreports the string copy below as
+  // out of bounds (-Warray-bounds).
+  body.reserve(2 + path.size());
+  ByteWriter w(&body);
+  w.PutString(path);
+  return body;
+}
+
+Bytes HandleBody(uint64_t handle) {
+  Bytes body;
+  ByteWriter w(&body);
+  w.PutU64(handle);
+  return body;
+}
+
+Bytes SeekToTimeBody(uint64_t handle, Timestamp t) {
+  Bytes body = HandleBody(handle);
+  ByteWriter w(&body);
+  w.PutI64(t);
+  return body;
+}
+
+// The u16 log-file id of a kCreateLogFile reply.
+Result<LogFileId> DecodeCreateReply(std::span<const std::byte> reply) {
+  ByteReader r(reply);
+  LogFileId id = r.GetU16();
+  if (r.failed()) {
+    return Corrupt("malformed create reply");
+  }
+  return id;
+}
+
 StatusCode CodeOf(const Status& status) { return status.code(); }
 template <typename T>
 StatusCode CodeOf(const Result<T>& result) {
@@ -200,6 +234,147 @@ Result<Bytes> NetLogClient::Call(LogOp op, const Bytes& body) {
 }
 
 // ---------------------------------------------------------------------------
+// Typed calls
+
+Result<LogFileId> NetLogClient::CreateLogFile(std::string_view path,
+                                              uint32_t permissions) {
+  Bytes body = PathBody(path);
+  ByteWriter w(&body);
+  w.PutU32(permissions);
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kCreateLogFile, body));
+  return DecodeCreateReply(reply);
+}
+
+Result<LogFileId> NetLogClient::CreateLogFilePlaced(std::string_view path,
+                                                    uint32_t permissions,
+                                                    uint32_t partition) {
+  Bytes body = PathBody(path);
+  ByteWriter w(&body);
+  w.PutU32(permissions);
+  w.PutU32(partition);
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kCreateLogFile, body));
+  return DecodeCreateReply(reply);
+}
+
+Result<PartitionInfoResult> NetLogClient::GetPartitionInfo(
+    std::string_view path) {
+  CLIO_ASSIGN_OR_RETURN(Bytes reply,
+                        Call(LogOp::kPartitionInfo, PathBody(path)));
+  ByteReader r(reply);
+  PartitionInfoResult info;
+  info.partition_count = r.GetU32();
+  bool has_route = r.GetU8() != 0;
+  uint32_t partition = r.GetU32();
+  if (r.failed()) {
+    return Corrupt("malformed partition info reply");
+  }
+  if (has_route) {
+    info.partition = partition;
+  }
+  return info;
+}
+
+Result<Timestamp> NetLogClient::Append(std::string_view path,
+                                       std::span<const std::byte> payload,
+                                       bool timestamped, bool force) {
+  const uint64_t request_seq = append_seq_.fetch_add(1) + 1;
+  CLIO_ASSIGN_OR_RETURN(
+      Bytes reply,
+      Call(LogOp::kAppend, EncodeAppendRequest(path, payload, timestamped,
+                                               force, client_id_,
+                                               request_seq)));
+  ByteReader r(reply);
+  Timestamp timestamp = r.GetI64();
+  if (r.failed()) {
+    return Corrupt("malformed append reply");
+  }
+  return timestamp;
+}
+
+Result<LogFileInfo> NetLogClient::Stat(std::string_view path) {
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kStat, PathBody(path)));
+  return DecodeLogFileInfo(reply);
+}
+
+Status NetLogClient::Force() { return Call(LogOp::kForce, {}).status(); }
+
+Result<ChainProof> NetLogClient::FetchChainProof(std::string_view path,
+                                                 Timestamp t) {
+  Bytes body = PathBody(path);
+  ByteWriter w(&body);
+  w.PutI64(t);
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kVerifyChain, body));
+  ByteReader r(reply);
+  return ChainProof::DecodeFrom(r);
+}
+
+Result<RemoteEntry> NetLogClient::VerifyEntry(std::string_view path,
+                                              Timestamp t) {
+  CLIO_ASSIGN_OR_RETURN(ChainProof proof, FetchChainProof(path, t));
+  CLIO_ASSIGN_OR_RETURN(ParsedEntry entry, proof.Verify());
+  // The proof binds the record to the chain; this binds the record to the
+  // question asked. A server pointing the proof at some OTHER (genuine)
+  // entry fails here.
+  if (!entry.timestamp.has_value() || *entry.timestamp != t) {
+    return Corrupt("proven entry does not carry the requested timestamp");
+  }
+  RemoteEntry out;
+  out.logfile_id = entry.logfile_id;
+  out.timestamp = *entry.timestamp;
+  out.timestamp_exact = true;
+  out.payload.assign(entry.payload.begin(), entry.payload.end());
+  return out;
+}
+
+Result<StatsSnapshot> NetLogClient::GetStats() {
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kStats, {}));
+  return DecodeStatsSnapshot(reply);
+}
+
+Result<HealthReport> NetLogClient::GetHealth() {
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kHealth, {}));
+  return DecodeHealthReport(reply);
+}
+
+Result<TraceDump> NetLogClient::DumpTraces(uint64_t min_total_us,
+                                           uint32_t max_spans) {
+  Bytes body;
+  ByteWriter w(&body);
+  w.PutU64(min_total_us);
+  w.PutU32(max_spans);
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kTraceDump, body));
+  return DecodeTraceDump(reply);
+}
+
+// ---------------------------------------------------------------------------
+// Server-side reader handles
+
+Result<uint64_t> NetLogClient::OpenServerReader(std::string_view path) {
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kOpenReader, PathBody(path)));
+  ByteReader r(reply);
+  uint64_t handle = r.GetU64();
+  if (r.failed()) {
+    return Corrupt("malformed open reader reply");
+  }
+  return handle;
+}
+
+Result<std::optional<RemoteEntry>> NetLogClient::ServerStep(LogOp op,
+                                                            uint64_t handle) {
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(op, HandleBody(handle)));
+  return DecodeEntryRecord(reply);
+}
+
+Result<EntryBatch> NetLogClient::ServerReadBatch(uint64_t handle,
+                                                 uint32_t max_entries) {
+  Bytes body = HandleBody(handle);
+  ByteWriter w(&body);
+  w.PutU32(max_entries);
+  CLIO_ASSIGN_OR_RETURN(Bytes reply, Call(LogOp::kReadBatch, body));
+  return DecodeEntryBatch(reply);
+}
+
+// ---------------------------------------------------------------------------
 // Virtualized readers
 
 Status NetLogClient::ReestablishReader(ReaderState* state) {
@@ -207,17 +382,18 @@ Status NetLogClient::ReestablishReader(ReaderState* state) {
   // replay below, the captured value is already stale and WithReader's
   // loop re-establishes once more.
   uint64_t generation = generation_.load();
-  CLIO_ASSIGN_OR_RETURN(uint64_t handle,
-                        LogClientBase::OpenReader(state->path));
+  CLIO_ASSIGN_OR_RETURN(uint64_t handle, OpenServerReader(state->path));
   switch (state->anchor) {
     case Anchor::kStart:
       break;  // a fresh reader starts at the beginning
     case Anchor::kEnd:
-      CLIO_RETURN_IF_ERROR(LogClientBase::SeekToEnd(handle));
+      CLIO_RETURN_IF_ERROR(
+          Call(LogOp::kSeekToEnd, HandleBody(handle)).status());
       break;
     case Anchor::kTime:
       CLIO_RETURN_IF_ERROR(
-          LogClientBase::SeekToTime(handle, state->anchor_time));
+          Call(LogOp::kSeekToTime, SeekToTimeBody(handle, state->anchor_time))
+              .status());
       break;
   }
   // Replay the cursor. The log is append-only, so re-running the same
@@ -225,13 +401,13 @@ Status NetLogClient::ReestablishReader(ReaderState* state) {
   // entry. Running out early (unforced tail lost in a crash) parks the
   // cursor at the surviving end.
   for (int64_t i = 0; i < state->offset; ++i) {
-    CLIO_ASSIGN_OR_RETURN(auto entry, LogClientBase::ReadNext(handle));
+    CLIO_ASSIGN_OR_RETURN(auto entry, ServerStep(LogOp::kReadNext, handle));
     if (!entry.has_value()) {
       break;
     }
   }
   for (int64_t i = 0; i > state->offset; --i) {
-    CLIO_ASSIGN_OR_RETURN(auto entry, LogClientBase::ReadPrev(handle));
+    CLIO_ASSIGN_OR_RETURN(auto entry, ServerStep(LogOp::kReadPrev, handle));
     if (!entry.has_value()) {
       break;
     }
@@ -271,8 +447,7 @@ auto NetLogClient::WithReader(uint64_t handle, Op op)
 
 Result<uint64_t> NetLogClient::OpenReader(std::string_view path) {
   std::lock_guard<std::mutex> lock(readers_mu_);
-  CLIO_ASSIGN_OR_RETURN(uint64_t server_handle,
-                        LogClientBase::OpenReader(path));
+  CLIO_ASSIGN_OR_RETURN(uint64_t server_handle, OpenServerReader(path));
   ReaderState state;
   state.path = std::string(path);
   state.server_handle = server_handle;
@@ -291,7 +466,7 @@ Status NetLogClient::CloseReader(uint64_t handle) {
   // Best-effort: if the connection turned over, the server-side reader
   // died with its session and there is nothing to close.
   if (it->second.generation == generation_.load()) {
-    (void)LogClientBase::CloseReader(it->second.server_handle);
+    (void)Call(LogOp::kCloseReader, HandleBody(it->second.server_handle));
   }
   readers_.erase(it);
   return Status::Ok();
@@ -300,7 +475,7 @@ Status NetLogClient::CloseReader(uint64_t handle) {
 Result<std::optional<RemoteEntry>> NetLogClient::ReadNext(uint64_t handle) {
   std::lock_guard<std::mutex> lock(readers_mu_);
   return WithReader(handle, [this](ReaderState* state) {
-    auto entry = LogClientBase::ReadNext(state->server_handle);
+    auto entry = ServerStep(LogOp::kReadNext, state->server_handle);
     if (entry.ok() && entry->has_value()) {
       ++state->offset;
     }
@@ -312,8 +487,7 @@ Result<EntryBatch> NetLogClient::ReadNextBatch(uint64_t handle,
                                                uint32_t max_entries) {
   std::lock_guard<std::mutex> lock(readers_mu_);
   return WithReader(handle, [this, max_entries](ReaderState* state) {
-    auto batch =
-        LogClientBase::ReadNextBatch(state->server_handle, max_entries);
+    auto batch = ServerReadBatch(state->server_handle, max_entries);
     if (batch.ok()) {
       // Every delivered entry advanced the server-side cursor; replay
       // after a reconnect must advance by the same count.
@@ -326,7 +500,7 @@ Result<EntryBatch> NetLogClient::ReadNextBatch(uint64_t handle,
 Result<std::optional<RemoteEntry>> NetLogClient::ReadPrev(uint64_t handle) {
   std::lock_guard<std::mutex> lock(readers_mu_);
   return WithReader(handle, [this](ReaderState* state) {
-    auto entry = LogClientBase::ReadPrev(state->server_handle);
+    auto entry = ServerStep(LogOp::kReadPrev, state->server_handle);
     if (entry.ok() && entry->has_value()) {
       --state->offset;
     }
@@ -337,7 +511,9 @@ Result<std::optional<RemoteEntry>> NetLogClient::ReadPrev(uint64_t handle) {
 Status NetLogClient::SeekToTime(uint64_t handle, Timestamp t) {
   std::lock_guard<std::mutex> lock(readers_mu_);
   return WithReader(handle, [this, t](ReaderState* state) {
-    Status status = LogClientBase::SeekToTime(state->server_handle, t);
+    Status status =
+        Call(LogOp::kSeekToTime, SeekToTimeBody(state->server_handle, t))
+            .status();
     if (status.ok()) {
       state->anchor = Anchor::kTime;
       state->anchor_time = t;
@@ -350,7 +526,8 @@ Status NetLogClient::SeekToTime(uint64_t handle, Timestamp t) {
 Status NetLogClient::SeekToStart(uint64_t handle) {
   std::lock_guard<std::mutex> lock(readers_mu_);
   return WithReader(handle, [this](ReaderState* state) {
-    Status status = LogClientBase::SeekToStart(state->server_handle);
+    Status status =
+        Call(LogOp::kSeekToStart, HandleBody(state->server_handle)).status();
     if (status.ok()) {
       state->anchor = Anchor::kStart;
       state->offset = 0;
@@ -362,13 +539,39 @@ Status NetLogClient::SeekToStart(uint64_t handle) {
 Status NetLogClient::SeekToEnd(uint64_t handle) {
   std::lock_guard<std::mutex> lock(readers_mu_);
   return WithReader(handle, [this](ReaderState* state) {
-    Status status = LogClientBase::SeekToEnd(state->server_handle);
+    Status status =
+        Call(LogOp::kSeekToEnd, HandleBody(state->server_handle)).status();
     if (status.ok()) {
       state->anchor = Anchor::kEnd;
       state->offset = 0;
     }
     return status;
   });
+}
+
+// ---------------------------------------------------------------------------
+// BatchedReader
+
+Result<std::optional<RemoteEntry>> BatchedReader::Next() {
+  if (pos_ >= buffer_.size()) {
+    if (at_end_) {
+      // The server already said end-of-log: report it without another
+      // round trip, but re-poll on the NEXT call (a tailing reader may
+      // find fresh entries then).
+      at_end_ = false;
+      return std::optional<RemoteEntry>(std::nullopt);
+    }
+    CLIO_ASSIGN_OR_RETURN(EntryBatch batch,
+                          client_->ReadNextBatch(handle_, batch_size_));
+    buffer_ = std::move(batch.entries);
+    pos_ = 0;
+    at_end_ = batch.at_end;
+    if (buffer_.empty()) {
+      at_end_ = false;
+      return std::optional<RemoteEntry>(std::nullopt);
+    }
+  }
+  return std::optional<RemoteEntry>(std::move(buffer_[pos_++]));
 }
 
 }  // namespace clio

@@ -1,10 +1,9 @@
-// NetLogClient: the TCP sibling of src/ipc's LogClient, now fault
-// tolerant.
+// NetLogClient: the typed, fault-tolerant client stub of the log service.
 //
-// Same typed API (both inherit LogClientBase, so code written against one
-// runs against the other); the transport is one frame per request over a
-// loopback TCP connection to a NetLogServer. Synchronous: Call() writes
-// the request frame and blocks for the matching reply.
+// The transport is one frame per request over a loopback TCP connection
+// to a NetLogServer (bodies per src/ipc/codec.h, framing per
+// src/net/frame.h). Synchronous: each call writes the request frame and
+// blocks for the matching reply.
 //
 // Fault tolerance (DESIGN.md §10):
 //  - Transport failures (server gone, connection reset, I/O deadline)
@@ -33,8 +32,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/ipc/codec.h"
 #include "src/net/frame.h"
@@ -63,7 +65,7 @@ struct NetClientOptions {
   uint64_t io_timeout_ms = 10'000;
 };
 
-class NetLogClient : public LogClientBase {
+class NetLogClient {
  public:
   static Result<std::unique_ptr<NetLogClient>> Connect(
       uint16_t port, const NetClientOptions& options = {});
@@ -81,23 +83,67 @@ class NetLogClient : public LogClientBase {
   // Retransmissions (any attempt after the first, transport or server
   // kUnavailable).
   uint64_t retries() const { return retries_.load(); }
-  // Trace id stamped on the most recently issued Call(). A retried call
-  // keeps its id (the frame is encoded once), so this identifies the
-  // logical request across retransmits — tests correlate it against a
+  // Trace id stamped on the most recently issued request. A retried
+  // request keeps its id (the frame is encoded once), so this identifies
+  // the logical request across retransmits — tests correlate it against a
   // server-side trace dump.
   uint64_t last_trace_id() const { return last_trace_id_.load(); }
 
-  // -- Virtualized reader API (overrides LogClientBase). Handles returned
-  // here survive server restarts; see header comment. --
-  Result<uint64_t> OpenReader(std::string_view path) override;
-  Status CloseReader(uint64_t handle) override;
-  Result<std::optional<RemoteEntry>> ReadNext(uint64_t handle) override;
-  Result<std::optional<RemoteEntry>> ReadPrev(uint64_t handle) override;
-  Result<EntryBatch> ReadNextBatch(uint64_t handle,
-                                   uint32_t max_entries) override;
-  Status SeekToTime(uint64_t handle, Timestamp t) override;
-  Status SeekToStart(uint64_t handle) override;
-  Status SeekToEnd(uint64_t handle) override;
+  Result<LogFileId> CreateLogFile(std::string_view path,
+                                  uint32_t permissions = 0644);
+  // CreateLogFile with an explicit home partition (tests pinning placement
+  // on a partitioned server; see src/partition/). The placement rides as a
+  // trailing field old servers ignore; a server rejects placements outside
+  // its partition range (a single volume accepts only 0).
+  Result<LogFileId> CreateLogFilePlaced(std::string_view path,
+                                        uint32_t permissions,
+                                        uint32_t partition);
+  // Partition topology (kPartitionInfo): how many partitions the server
+  // runs, and — when `path` is nonempty — which one owns that log file.
+  Result<PartitionInfoResult> GetPartitionInfo(std::string_view path = "");
+  // Returns the server-assigned timestamp (the entry's unique id for
+  // synchronous writers, §2.1).
+  Result<Timestamp> Append(std::string_view path,
+                           std::span<const std::byte> payload,
+                           bool timestamped = false, bool force = false);
+
+  // -- Reader API. Handles returned here are client-side and survive
+  // server restarts; see header comment. --
+  Result<uint64_t> OpenReader(std::string_view path);
+  Status CloseReader(uint64_t handle);
+  Result<std::optional<RemoteEntry>> ReadNext(uint64_t handle);
+  Result<std::optional<RemoteEntry>> ReadPrev(uint64_t handle);
+  // Up to `max_entries` consecutive entries in one round trip (kReadBatch).
+  // Prefer iterating via BatchedReader, which refills transparently.
+  Result<EntryBatch> ReadNextBatch(uint64_t handle, uint32_t max_entries);
+  Status SeekToTime(uint64_t handle, Timestamp t);
+  Status SeekToStart(uint64_t handle);
+  Status SeekToEnd(uint64_t handle);
+
+  Result<LogFileInfo> Stat(std::string_view path);
+  Status Force();
+  // Raw inclusion proof for the entry of `path` with exact timestamp `t`
+  // (kVerifyChain), undecoded beyond framing. Most callers want
+  // VerifyEntry below, which also checks the proof.
+  Result<ChainProof> FetchChainProof(std::string_view path, Timestamp t);
+  // Fetches the proof AND verifies it client-side (ChainProof::Verify):
+  // recomputes the record hash, reassembles the block commit, and links to
+  // the head tag — then cross-checks that the proven entry really carries
+  // timestamp `t`. Returns the proven entry; kCorrupt if the proof does
+  // not hold up (a tampered volume, or a server lying about the entry).
+  Result<RemoteEntry> VerifyEntry(std::string_view path, Timestamp t);
+  // Fetches the server's metrics snapshot (counters, gauges, latency
+  // histograms) via the kStats op.
+  Result<StatsSnapshot> GetStats();
+  // Fetches recent spans from the server's flight recorder (kTraceDump).
+  // `min_total_us` > 0 keeps only requests at least that slow end to end;
+  // `max_spans` > 0 bounds the reply (newest spans win), 0 accepts the
+  // server's default budget.
+  Result<TraceDump> DumpTraces(uint64_t min_total_us = 0,
+                               uint32_t max_spans = 0);
+  // Fetches the server's SLO health report (kHealth): overall state,
+  // breach reasons, and slow-request trace-id exemplars.
+  Result<HealthReport> GetHealth();
 
  private:
   // Where a reader's cursor replay starts from after re-establishment.
@@ -117,10 +163,17 @@ class NetLogClient : public LogClientBase {
   NetLogClient(TcpSocket socket, uint16_t port,
                const NetClientOptions& options, uint64_t client_id);
 
-  Result<Bytes> Call(LogOp op, const Bytes& body) override;
-  std::pair<uint64_t, uint64_t> NextAppendStamp() override {
-    return {client_id_, append_seq_.fetch_add(1) + 1};
-  }
+  // One logical request/reply, retried across reconnects and server
+  // kUnavailable; returns the reply payload or the error status the server
+  // (or the transport) produced.
+  Result<Bytes> Call(LogOp op, const Bytes& body);
+
+  // One-shot round trips on a raw server-side reader handle, under the
+  // virtualized reader API.
+  Result<uint64_t> OpenServerReader(std::string_view path);
+  // kReadNext or kReadPrev.
+  Result<std::optional<RemoteEntry>> ServerStep(LogOp op, uint64_t handle);
+  Result<EntryBatch> ServerReadBatch(uint64_t handle, uint32_t max_entries);
 
   // Reconnects if the socket is down. Requires mu_ held.
   Status EnsureConnectedLocked();
@@ -157,6 +210,30 @@ class NetLogClient : public LogClientBase {
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> last_trace_id_{0};
+};
+
+// Pull-style forward iterator over a reader handle, fetching kReadBatch
+// batches of `batch_size` entries and draining them locally: a 10k-entry
+// tail scan costs ~10k/batch_size round trips instead of 10k. Safe for
+// tailing: after the server reports end-of-log, the next Next() past the
+// drained buffer returns nullopt once without an extra RPC, and the call
+// after that re-polls the server for newly appended entries.
+class BatchedReader {
+ public:
+  BatchedReader(NetLogClient* client, uint64_t handle,
+                uint32_t batch_size = 32)
+      : client_(client), handle_(handle), batch_size_(batch_size) {}
+
+  // The next entry, or nullopt at (the current) end of the log.
+  Result<std::optional<RemoteEntry>> Next();
+
+ private:
+  NetLogClient* client_;
+  uint64_t handle_;
+  uint32_t batch_size_;
+  std::vector<RemoteEntry> buffer_;
+  size_t pos_ = 0;
+  bool at_end_ = false;  // last refill hit end-of-log
 };
 
 }  // namespace clio

@@ -362,12 +362,12 @@ Result<AppendResult> NetLogServer::RouteAppend(Conn* conn,
 // and hands the connection back via the completion queue + eventfd wake.
 
 void NetLogServer::SetUpDispatcher(Conn* conn) {
-  conn->dispatcher.emplace(service_,
-                           [this, conn](const AppendRequest& request) {
-                             return RouteAppend(conn, request);
-                           });
-  conn->dispatcher->set_health_fn([this] { return EvaluateServerHealth(); });
-  conn->dispatcher->set_zero_copy(true);
+  conn->dispatcher.emplace(
+      service_,
+      [this, conn](const AppendRequest& request) {
+        return RouteAppend(conn, request);
+      },
+      [this] { return EvaluateServerHealth(); });
 }
 
 void NetLogServer::LoopMain() {
@@ -645,8 +645,8 @@ void NetLogServer::WorkerMain() {
       // Every span recorded below — dispatch, batch wait, volume append,
       // force, burn — attaches to this request's trace.
       ScopedTraceContext trace_scope(request.trace_id);
-      reply = conn->dispatcher->DispatchScatter(
-          static_cast<LogOp>(request.op), conn->state.body());
+      reply = conn->dispatcher->Dispatch(static_cast<LogOp>(request.op),
+                                         conn->state.body());
     }
     Metrics().stage_handle_us->Record(TraceNowUs() - start_us);
     frames_dispatched_.fetch_add(1);
